@@ -30,9 +30,8 @@ use crate::violation::{Violation, ViolationKind};
 /// `O(|Thr|·V)` clocks — and eager pushes at end events.
 #[derive(Debug)]
 pub struct BasicRules<S: ClockStore> {
-    /// `R_{t,x}` stored as `rx[x][t]` (crate-visible for the sharded
-    /// engine's owner-side transfer rules, see [`crate::shard`]).
-    pub(crate) rx: Vec<Vec<S::Clock>>,
+    /// `R_{t,x}` stored as `rx[x][t]`.
+    rx: Vec<Vec<S::Clock>>,
 }
 
 impl<S: ClockStore> Default for BasicRules<S> {
@@ -63,7 +62,7 @@ pub type BasicChecker = Engine<BasicRules<ClockPool>>;
 pub type ClonedBasicChecker = Engine<BasicRules<Cloned>>;
 
 impl<S: ClockStore> BasicRules<S> {
-    pub(crate) fn ensure(&mut self, xi: usize, ti: usize) {
+    fn ensure(&mut self, xi: usize, ti: usize) {
         ensure_with(&mut self.rx, xi, |_| Vec::new());
         ensure_with(&mut self.rx[xi], ti, |_| S::bottom());
     }

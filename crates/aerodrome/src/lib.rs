@@ -41,7 +41,6 @@
 pub mod basic;
 pub mod optimized;
 pub mod readopt;
-pub mod shard;
 pub mod state;
 mod util;
 mod violation;

@@ -36,10 +36,10 @@ use crate::violation::{Violation, ViolationKind};
 /// variable.
 #[derive(Debug)]
 pub struct ReadOptRules<S: ClockStore> {
-    /// `R_x = ⊔_u R_{u,x}` (crate-visible for [`crate::shard`]).
-    pub(crate) rx: Vec<S::Clock>,
-    /// `chR_x = ⊔_u R_{u,x}[0/u]` (crate-visible for [`crate::shard`]).
-    pub(crate) chrx: Vec<S::Clock>,
+    /// `R_x = ⊔_u R_{u,x}`.
+    rx: Vec<S::Clock>,
+    /// `chR_x = ⊔_u R_{u,x}[0/u]`.
+    chrx: Vec<S::Clock>,
 }
 
 impl<S: ClockStore> Default for ReadOptRules<S> {
@@ -64,7 +64,7 @@ pub type ReadOptChecker = Engine<ReadOptRules<ClockPool>>;
 pub type ClonedReadOptChecker = Engine<ReadOptRules<Cloned>>;
 
 impl<S: ClockStore> ReadOptRules<S> {
-    pub(crate) fn ensure(&mut self, xi: usize) {
+    fn ensure(&mut self, xi: usize) {
         ensure_with(&mut self.rx, xi, |_| S::bottom());
         ensure_with(&mut self.chrx, xi, |_| S::bottom());
     }

@@ -554,76 +554,66 @@ impl<R: Rules> Engine<R> {
     }
 
     fn handle(&mut self, event: Event, eid: EventId) -> Result<(), Violation> {
-        dispatch(&mut self.core, &mut self.rules, event, eid)
-    }
-}
-
-/// One event through the shared dispatch: table growth, the common
-/// acquire/fork/join/begin handling and the nested-end filter, deferring
-/// read/write/outermost-end behaviour to the [`Rules`] plug-in.
-///
-/// Factored out of [`Engine`] so the shard-local fast path of
-/// [`crate::shard`] runs the *same* code as the sequential engine and
-/// the two can never diverge.
-pub(crate) fn dispatch<R: Rules>(
-    core: &mut Core<R::Store>,
-    rules: &mut R,
-    event: Event,
-    eid: EventId,
-) -> Result<(), Violation> {
-    let t = event.thread;
-    let ti = t.index();
-    core.ensure_thread(t);
-    core.seen[ti] = true;
-    match event.op {
-        Op::Acquire(l) => {
-            core.ensure_lock(l);
-            // Lines 13–15.
-            if core.last_rel_thr[l.index()] != Some(t) {
+        let t = event.thread;
+        let ti = t.index();
+        let core = &mut self.core;
+        core.ensure_thread(t);
+        core.seen[ti] = true;
+        match event.op {
+            Op::Acquire(l) => {
+                core.ensure_lock(l);
+                // Lines 13–15.
+                if core.last_rel_thr[l.index()] != Some(t) {
+                    let active = core.txns.active(t);
+                    if core.check_and_get(ti, active, active, Src::Lock(l.index()), R::EPOCH_CHECKS)
+                    {
+                        return Err(Violation {
+                            event: eid,
+                            thread: t,
+                            kind: ViolationKind::AtAcquire(l),
+                        });
+                    }
+                }
+            }
+            Op::Release(l) => {
+                core.ensure_lock(l);
+                core.release_lock(t, l);
+            }
+            Op::Fork(u) => {
+                core.ensure_thread(u);
+                core.fork(t, u);
+            }
+            Op::Join(u) => {
+                core.ensure_thread(u);
+                // Lines 21–22. The check only applies when the child
+                // performed an event (see `seen`); the join always does.
                 let active = core.txns.active(t);
-                if core.check_and_get(ti, active, active, Src::Lock(l.index()), R::EPOCH_CHECKS) {
+                let check = active && core.seen[u.index()];
+                if core.check_and_get(ti, check, active, Src::Thread(u.index()), R::EPOCH_CHECKS) {
                     return Err(Violation {
                         event: eid,
                         thread: t,
-                        kind: ViolationKind::AtAcquire(l),
+                        kind: ViolationKind::AtJoin(u),
                     });
                 }
             }
-        }
-        Op::Release(l) => {
-            core.ensure_lock(l);
-            core.release_lock(t, l);
-        }
-        Op::Fork(u) => {
-            core.ensure_thread(u);
-            core.fork(t, u);
-        }
-        Op::Join(u) => {
-            core.ensure_thread(u);
-            // Lines 21–22. The check only applies when the child
-            // performed an event (see `seen`); the join always does.
-            let active = core.txns.active(t);
-            let check = active && core.seen[u.index()];
-            if core.check_and_get(ti, check, active, Src::Thread(u.index()), R::EPOCH_CHECKS) {
-                return Err(Violation { event: eid, thread: t, kind: ViolationKind::AtJoin(u) });
+            Op::Read(x) => {
+                core.ensure_var(x);
+                self.rules.on_read(core, eid, t, x)?;
+            }
+            Op::Write(x) => {
+                core.ensure_var(x);
+                self.rules.on_write(core, eid, t, x)?;
+            }
+            Op::Begin => core.begin(t),
+            Op::End => {
+                if core.txns.on_end(t) {
+                    self.rules.on_end(core, eid, t)?;
+                }
             }
         }
-        Op::Read(x) => {
-            core.ensure_var(x);
-            rules.on_read(core, eid, t, x)?;
-        }
-        Op::Write(x) => {
-            core.ensure_var(x);
-            rules.on_write(core, eid, t, x)?;
-        }
-        Op::Begin => core.begin(t),
-        Op::End => {
-            if core.txns.on_end(t) {
-                rules.on_end(core, eid, t)?;
-            }
-        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Checker engines are moved onto worker threads by the parallel

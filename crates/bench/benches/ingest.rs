@@ -7,8 +7,8 @@
 //! `split('|')` + integer parsing per line. Second, what does that buy
 //! end-to-end under `rapid compare`'s single-ingest runtime
 //! ([`par::check_all`]). Third, what does chunk-parallel ingest
-//! ([`par::check_all_chunked`]) add on top once the readers outnumber
-//! one. The `CRITERION_SHIM_JSON` dump of this bench is the source of
+//! ([`ChunkParSource`] feeding the same runtime) add on top once the
+//! readers outnumber one. The `CRITERION_SHIM_JSON` dump of this bench is the source of
 //! `BENCH_ingest.json`, the checked-in last-known-good that the
 //! scheduled CI job diffs fresh runs against with `rapid benchdiff`.
 
@@ -19,6 +19,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use aerodrome_suite::pipeline::chunkpar::ChunkParSource;
 use aerodrome_suite::pipeline::par::{self, ParConfig};
 use tracelog::binfmt::{self, BinTrace, MmapSource};
 use tracelog::stream::{copy_events, EventBatch, EventSource, StdReader};
@@ -105,13 +106,10 @@ fn bench_ingest(c: &mut Criterion) {
             &ingest_jobs,
             |b, &ingest_jobs| {
                 b.iter(|| {
-                    let report = par::check_all_chunked(
-                        &trace,
-                        par::standard_checkers(),
-                        &config,
-                        ingest_jobs,
-                    )
-                    .unwrap();
+                    let mut source =
+                        ChunkParSource::new(Arc::clone(&trace), ingest_jobs, config.batch_events);
+                    let report =
+                        par::check_all(&mut source, par::standard_checkers(), &config).unwrap();
                     assert_eq!(report.events, events);
                 });
             },

@@ -27,15 +27,10 @@ use std::time::{Duration, Instant};
 use aerodrome::basic::BasicChecker;
 use aerodrome::optimized::OptimizedChecker;
 use aerodrome::readopt::ReadOptChecker;
-use aerodrome::shard::Ownership;
 use aerodrome::{Checker, Outcome};
-use aerodrome_suite::pipeline::affinity::{self, AffinityProfile, PartitionPlan};
 use aerodrome_suite::pipeline::chunkpar::ChunkParSource;
 use aerodrome_suite::pipeline::multi::{self, MultiConfig};
 use aerodrome_suite::pipeline::par::{self, CheckerRun, ParConfig, SendChecker};
-use aerodrome_suite::pipeline::shard::{
-    check_sharded, check_sharded_chunked, ShardAlgo, ShardConfig, ShardReport,
-};
 use aerodrome_suite::pipeline::Pipeline;
 use tracelog::binfmt::{self, AnySource, DEFAULT_CHUNK_EVENTS};
 use tracelog::stream::{copy_events, EventBatch, EventSource, SourceNames, DEFAULT_BATCH_EVENTS};
@@ -57,7 +52,6 @@ pub enum Command {
         ingest_jobs: usize,
     },
     /// `rapid aerodrome <trace.std> [--algorithm basic|readopt|optimized]
-    /// [--shards N] [--partition auto|round-robin|plan.json]
     /// [--ingest-jobs N] [--batch N] [--no-validate]`
     /// (alias: `rapid check`).
     Aerodrome {
@@ -69,18 +63,9 @@ pub enum Command {
         validate: bool,
         /// Events per ingest batch; `None` uses the default (~4096).
         batch: Option<usize>,
-        /// Cooperating shards of the one checker (default 1: the plain
-        /// sequential engine). `N ≥ 2` splits the trace's threads,
-        /// locks and variables across N shard threads — Algorithms 1
-        /// and 2 only.
-        shards: usize,
         /// Reader threads decoding chunks of a binary trace (default 1:
         /// the caller thread ingests alone).
         ingest_jobs: usize,
-        /// How the shard tables are derived (`--partition`, shards ≥ 2
-        /// only): blind round-robin (default), an affinity-profiled
-        /// `auto` plan, or a saved `rapid partition` plan file.
-        partition: PartitionChoice,
     },
     /// `rapid velodrome <trace.std> [--no-gc] [--pearce-kelly]
     /// [--batch N] [--no-validate]`.
@@ -110,15 +95,6 @@ pub enum Command {
         batch: Option<usize>,
         /// Run the streaming well-formedness pre-pass (default true).
         validate: bool,
-        /// With `N ≥ 2`: the sharded differential mode — Algorithms 1
-        /// and 2 each run single-shard AND split across N shards, and
-        /// the results are diffed bit for bit (exit non-zero on any
-        /// divergence).
-        shards: usize,
-        /// How the N-shard tables are derived (`--partition`, as on
-        /// `aerodrome`/`check`), so the self-differential covers
-        /// auto-partitioned runs too.
-        partition: PartitionChoice,
     },
     /// `rapid validate <trace.std> [--ingest-jobs N] [--batch N]` — the
     /// streaming well-formedness check alone (exit 1 on the first
@@ -126,32 +102,6 @@ pub enum Command {
     Validate {
         /// Path of the trace log.
         path: String,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
-        /// Reader threads decoding chunks of a binary trace (default 1:
-        /// the caller thread ingests alone).
-        ingest_jobs: usize,
-    },
-    /// `rapid partition <trace> [--shards N] [--balance F]
-    /// [--out plan.json] [--measure] [--ingest-jobs N] [--batch N]` —
-    /// profile the trace's thread↔lock↔variable access affinity and
-    /// derive the locality-minimizing shard plan, printing predicted
-    /// (and, with `--measure`, measured) cross-edge rates.
-    Partition {
-        /// Path of the trace log.
-        path: String,
-        /// Shards the plan spreads over (default 2).
-        shards: usize,
-        /// Soft load-balance weight of the partitioner cost (default
-        /// [`affinity::DEFAULT_BALANCE`]).
-        balance: f64,
-        /// Save the plan as versioned JSON here (feed it back via
-        /// `--partition <path>`).
-        out: Option<String>,
-        /// Additionally run the sharded checker (Algorithm 2) under the
-        /// plan and report the measured cross-edge rate next to the
-        /// prediction.
-        measure: bool,
         /// Events per ingest batch; `None` uses the default (~4096).
         batch: Option<usize>,
         /// Reader threads decoding chunks of a binary trace (default 1:
@@ -362,34 +312,6 @@ pub enum Algorithm {
     Optimized,
 }
 
-/// Shard-partition selector (the uniform `--partition` flag of
-/// `aerodrome`/`check` and `compare`).
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub enum PartitionChoice {
-    /// Blind `index % shards` ownership tables (the default, and the
-    /// only behaviour before the affinity partitioner existed).
-    #[default]
-    RoundRobin,
-    /// Profile the trace's access affinity in a streaming pre-pass and
-    /// derive the locality-minimizing plan (`rapid partition` inline).
-    Auto,
-    /// Load a plan file saved by `rapid partition --out`.
-    Plan(String),
-}
-
-impl PartitionChoice {
-    /// Parses a `--partition` value: `round-robin`, `auto`, or a plan
-    /// file path (anything else).
-    #[must_use]
-    pub fn parse(value: &str) -> Self {
-        match value {
-            "round-robin" => Self::RoundRobin,
-            "auto" => Self::Auto,
-            path => Self::Plan(path.to_owned()),
-        }
-    }
-}
-
 /// Which checkers a `rapid batch` worker session runs per trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CheckerChoice {
@@ -492,21 +414,17 @@ rapid — atomicity checking on trace logs (AeroDrome reproduction)
 USAGE:
     rapid metainfo  <trace.std> [--batch N] [--ingest-jobs N]
     rapid aerodrome <trace.std> [--algorithm basic|readopt|optimized]
-                    [--shards N] [--partition auto|round-robin|plan.json]
                     [--ingest-jobs N]
                     [--batch N] [--no-validate]   (alias: rapid check)
     rapid velodrome <trace.std> [--no-gc] [--pearce-kelly]
                     [--batch N] [--no-validate]
-    rapid compare   <trace.std> [--jobs N] [--ingest-jobs N] [--shards N]
-                    [--partition auto|round-robin|plan.json]
+    rapid compare   <trace.std> [--jobs N] [--ingest-jobs N]
                     [--batch N] [--no-validate]
     rapid batch     <dir|manifest|trace.std> [--jobs N] [--batch N]
                     [--checker all|basic|readopt|optimized|velodrome]
                     [--seal-verify] [--no-validate]
     rapid validate  <trace.std> [--batch N] [--ingest-jobs N]
     rapid convert   <in> <out> [--chunk-events N]
-    rapid partition <trace> [--shards N] [--balance F] [--out plan.json]
-                    [--measure] [--ingest-jobs N] [--batch N]
     rapid benchdiff <baseline.json> <fresh.json> [--threshold PCT]
     rapid generate  <out.std> [--profile NAME|convoy|fanout|nesting]
                     [--events N]
@@ -541,26 +459,9 @@ convention); `rapid convert` transcodes between them both ways, and the
 `.std` -> `.rbt` -> `.std` round-trip is byte-exact. `.expect` seal
 sidecars record identical text for both encodings of a trace.
 `--ingest-jobs N` (N ≥ 2, binary input only; on `metainfo`, `validate`,
-`compare`, `aerodrome`/`check` and `partition`) additionally decodes the
-single file with N chunk-parallel readers feeding the analysis.
+`compare` and `aerodrome`/`check`) additionally decodes the single file
+with N chunk-parallel readers feeding the analysis.
 
-`check --shards N` (N ≥ 2) splits ONE trace across N cooperating shards
-of the same checker: threads, locks and variables are partitioned
-(round-robin by default), shard-local events (the vast majority) are
-checked with no synchronisation, and the rare cross-shard
-happens-before edges travel as clock messages, coalesced per channel
-flush and memoized per peer — verdicts, first-violation attribution and
-the events/joins counters are bit-identical to the sequential engine at
-every shard count and under every partition. Algorithms 1 and 2 only
-(Algorithm 3's lazy epochs resist partitioning; see docs/PERF.md).
-`--partition auto` first profiles the trace's thread↔lock↔variable
-access affinity and derives the locality-minimizing tables instead;
-`--partition plan.json` replays a plan saved by `rapid partition`,
-which prints predicted (and with `--measure`, measured) cross-edge
-rates for round-robin vs auto. `compare --shards N` is the matching
-differential mode: both shardable algorithms run single-shard AND
-N-shard (honouring `--partition`) and the results are diffed bit for
-bit (non-zero exit on divergence).
 `benchdiff` guards the perf trajectory: it diffs two rapid-bench-v1
 JSON reports metric by metric (higher-better *_per_sec, lower-better
 wall_s/*_ms) and exits non-zero past `--threshold` percent regression.
@@ -724,9 +625,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
             let mut algorithm = Algorithm::default();
             let mut validate = true;
             let mut batch = None;
-            let mut shards = 1usize;
             let mut ingest_jobs = 1usize;
-            let mut partition = PartitionChoice::default();
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
@@ -740,11 +639,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                             }
                         };
                     }
-                    "--shards" => shards = positive_flag(args, &mut i, "--shards")?,
-                    "--partition" => {
-                        partition =
-                            PartitionChoice::parse(flag_value(args, &mut i, "--partition")?);
-                    }
                     "--ingest-jobs" => ingest_jobs = positive_flag(args, &mut i, "--ingest-jobs")?,
                     "--batch" => batch = Some(batch_flag(args, &mut i)?),
                     "--no-validate" => validate = false,
@@ -752,18 +646,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                 }
                 i += 1;
             }
-            if partition != PartitionChoice::RoundRobin && shards <= 1 {
-                return Err(UsageError("--partition needs --shards N (N ≥ 2)".into()));
-            }
-            Ok(Command::Aerodrome {
-                path,
-                algorithm,
-                validate,
-                batch,
-                shards,
-                ingest_jobs,
-                partition,
-            })
+            Ok(Command::Aerodrome { path, algorithm, validate, batch, ingest_jobs })
         }
         "velodrome" => {
             let path = args
@@ -795,28 +678,18 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
             let mut ingest_jobs = 1usize;
             let mut batch = None;
             let mut validate = true;
-            let mut shards = 1usize;
-            let mut partition = PartitionChoice::default();
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
                     "--jobs" => jobs = jobs_flag(args, &mut i)?,
                     "--ingest-jobs" => ingest_jobs = positive_flag(args, &mut i, "--ingest-jobs")?,
-                    "--shards" => shards = positive_flag(args, &mut i, "--shards")?,
-                    "--partition" => {
-                        partition =
-                            PartitionChoice::parse(flag_value(args, &mut i, "--partition")?);
-                    }
                     "--batch" => batch = Some(batch_flag(args, &mut i)?),
                     "--no-validate" => validate = false,
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
             }
-            if partition != PartitionChoice::RoundRobin && shards <= 1 {
-                return Err(UsageError("--partition needs --shards N (N ≥ 2)".into()));
-            }
-            Ok(Command::Compare { path, jobs, ingest_jobs, batch, validate, shards, partition })
+            Ok(Command::Compare { path, jobs, ingest_jobs, batch, validate })
         }
         "convert" => {
             let input = args
@@ -889,40 +762,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                 i += 1;
             }
             Ok(Command::Validate { path, batch, ingest_jobs })
-        }
-        "partition" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("partition requires a trace path".into()))?
-                .clone();
-            let mut shards = 2usize;
-            let mut balance = aerodrome_suite::pipeline::affinity::DEFAULT_BALANCE;
-            let mut out = None;
-            let mut measure = false;
-            let mut batch = None;
-            let mut ingest_jobs = 1usize;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--shards" => shards = positive_flag(args, &mut i, "--shards")?,
-                    "--balance" => {
-                        let b: f64 = num_flag(args, &mut i, "--balance")?;
-                        if !b.is_finite() || b < 0.0 {
-                            return Err(UsageError(
-                                "--balance must be a finite non-negative weight".into(),
-                            ));
-                        }
-                        balance = b;
-                    }
-                    "--out" => out = Some(flag_value(args, &mut i, "--out")?.to_owned()),
-                    "--measure" => measure = true,
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--ingest-jobs" => ingest_jobs = positive_flag(args, &mut i, "--ingest-jobs")?,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Partition { path, shards, balance, out, measure, batch, ingest_jobs })
         }
         "batch" => {
             let path = args
@@ -1225,6 +1064,27 @@ fn ingest_jobs_guidance(path: &str, ingest_jobs: usize) -> String {
     )
 }
 
+/// Opens `path` for ingest. With `ingest_jobs > 1` the binary `.rbt`
+/// container is decoded by up to that many chunk-parallel readers (text
+/// input gets the convert guidance instead). Returns the source and the
+/// reader threads spawned (`0` when the caller thread ingests alone).
+fn open_ingest(
+    path: &str,
+    ingest_jobs: usize,
+    batch_events: usize,
+) -> Result<(Box<dyn EventSource>, usize), String> {
+    let source = open_source(path)?;
+    if ingest_jobs <= 1 {
+        return Ok((Box::new(source), 0));
+    }
+    let AnySource::Bin(bin) = &source else {
+        return Err(ingest_jobs_guidance(path, ingest_jobs));
+    };
+    let chunkpar = ChunkParSource::new(Arc::clone(bin.trace()), ingest_jobs, batch_events);
+    let readers = chunkpar.readers();
+    Ok((Box::new(chunkpar), readers))
+}
+
 /// Formats a pipeline error with the offending position in the source.
 /// The pipelines batch ahead of validation, so the source's *current*
 /// position may be past the ill-formed event; `position_of` recovers the
@@ -1418,267 +1278,6 @@ pub fn verify_seal(path: &str, jobs: usize) -> Result<(), String> {
     }
 }
 
-/// Maps the CLI algorithm selector onto the shardable subset, with the
-/// explanation for why Algorithm 3 is excluded.
-fn shard_algo(algorithm: Algorithm, shards: usize) -> Result<ShardAlgo, String> {
-    match algorithm {
-        Algorithm::Basic => Ok(ShardAlgo::Basic),
-        Algorithm::ReadOpt => Ok(ShardAlgo::ReadOpt),
-        Algorithm::Optimized => Err(format!(
-            "--shards {shards} supports only --algorithm basic|readopt: Algorithm 3's lazy \
-             epochs and stale-set bookkeeping couple every thread's state and resist \
-             partitioning (see docs/PERF.md)"
-        )),
-    }
-}
-
-/// Profiles `path`'s access affinity in one streaming pass
-/// (chunk-parallel for binary input when `ingest_jobs > 1`).
-fn profile_trace(
-    path: &str,
-    ingest_jobs: usize,
-    batch: Option<usize>,
-) -> Result<AffinityProfile, String> {
-    let mut source = open_source(path)?;
-    let batch_events = batch.unwrap_or(DEFAULT_BATCH_EVENTS);
-    let profile = if ingest_jobs > 1 {
-        let AnySource::Bin(bin) = &source else {
-            return Err(ingest_jobs_guidance(path, ingest_jobs));
-        };
-        let trace = Arc::clone(bin.trace());
-        affinity::profile_chunked(&trace, ingest_jobs, batch_events)
-    } else {
-        affinity::profile_source(&mut source, batch_events)
-    }
-    .map_err(|e| source_err(path, &source, &e))?;
-    Ok(profile)
-}
-
-/// Resolves `--partition` into concrete [`Ownership`] tables plus a
-/// provenance note for the report (`auto` runs the affinity pre-pass
-/// here; a plan file must have been derived for the same shard count).
-fn resolve_partition(
-    path: &str,
-    partition: &PartitionChoice,
-    shards: usize,
-    ingest_jobs: usize,
-    batch: Option<usize>,
-) -> Result<(Ownership, String), String> {
-    match partition {
-        PartitionChoice::RoundRobin => {
-            Ok((Ownership::round_robin(shards), "round-robin".to_owned()))
-        }
-        PartitionChoice::Auto => {
-            let plan = profile_trace(path, ingest_jobs, batch)?.partition(shards);
-            let note = format!(
-                "auto (predicted cross rate {:.2}%)",
-                plan.predicted().cross_rate() * 100.0
-            );
-            Ok((plan.ownership(), note))
-        }
-        PartitionChoice::Plan(file) => {
-            let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-            let plan = PartitionPlan::from_json(&text).map_err(|e| format!("{file}: {e}"))?;
-            if plan.shards != shards {
-                return Err(format!(
-                    "{file}: plan was derived for {} shard(s) but --shards {shards} was given \
-                     (re-run `rapid partition --shards {shards}`)",
-                    plan.shards
-                ));
-            }
-            let note = format!(
-                "plan {file} (predicted cross rate {:.2}%)",
-                plan.predicted().cross_rate() * 100.0
-            );
-            Ok((plan.ownership(), note))
-        }
-    }
-}
-
-/// One sharded check of `path` under the resolved `own` tables,
-/// optionally with chunk-parallel binary ingest.
-fn check_one_sharded(
-    path: &str,
-    algo: ShardAlgo,
-    own: Ownership,
-    ingest_jobs: usize,
-    config: &ShardConfig,
-) -> Result<(ShardReport, String), String> {
-    let mut source = open_source(path)?;
-    let report = if ingest_jobs > 1 {
-        let AnySource::Bin(bin) = &source else {
-            return Err(ingest_jobs_guidance(path, ingest_jobs));
-        };
-        let trace = Arc::clone(bin.trace());
-        check_sharded_chunked(&trace, algo, own, config, ingest_jobs)
-    } else {
-        check_sharded(&mut source, algo, own, config)
-    }
-    .map_err(|e| source_err(path, &source, &e))?;
-    let verdict = match report.run.outcome.violation() {
-        None => "✓".to_owned(),
-        Some(v) => format!("✗ {}", v.display_with_names(&source.names())),
-    };
-    Ok((report, verdict))
-}
-
-/// `rapid check --shards N` (N ≥ 2): the trace split across N
-/// cooperating shards of one checker.
-fn run_aerodrome_sharded(
-    path: &str,
-    algorithm: Algorithm,
-    validate: bool,
-    batch: Option<usize>,
-    shards: usize,
-    ingest_jobs: usize,
-    partition: &PartitionChoice,
-) -> Result<String, String> {
-    let algo = shard_algo(algorithm, shards)?;
-    let mut config = ShardConfig::default().validate(validate);
-    if let Some(b) = batch {
-        config = config.batch_events(b);
-    }
-    let (own, provenance) = resolve_partition(path, partition, shards, ingest_jobs, batch)?;
-    let start = Instant::now();
-    let (report, verdict) = check_one_sharded(path, algo, own, ingest_jobs, &config)?;
-    let wall = start.elapsed();
-    let name = match algo {
-        ShardAlgo::Basic => "aerodrome (Algorithm 1)",
-        ShardAlgo::ReadOpt => "aerodrome (Algorithm 2)",
-    };
-    let mut out = String::new();
-    let _ = writeln!(out, "analysis: {name} × {shards} shards");
-    let _ = writeln!(out, "events processed: {}", report.run.report.events);
-    let _ = match report.run.outcome.violation() {
-        None => writeln!(out, "verdict: ✓ no conflict-serializability violation detected"),
-        Some(_) => writeln!(out, "verdict: {verdict}"),
-    };
-    if let Some(s) = &report.summary {
-        if !s.is_closed() && !report.run.outcome.is_violation() {
-            let _ = writeln!(
-                out,
-                "note: trace is a prefix ({} open transaction(s), {} held lock(s))",
-                s.open_transactions.len(),
-                s.held_locks.len()
-            );
-        }
-    }
-    let cr = &report.run.report;
-    let _ = writeln!(
-        out,
-        "clocks: joins={} heap_allocs={} (buffers={} grows={}) cow_copies={} shares={}",
-        cr.clock_joins,
-        cr.clocks.heap_allocs(),
-        cr.clocks.buffers_allocated,
-        cr.clocks.buffer_grows,
-        cr.clocks.cow_copies,
-        cr.clocks.shares
-    );
-    let s = &report.stats;
-    let _ = writeln!(
-        out,
-        "sharding: shards={} local={} cross={} global-ends={} step-batches={}  wall: {:.3}s",
-        s.shards,
-        s.local_events,
-        s.cross_events,
-        s.global_ends,
-        s.step_batches,
-        wall.as_secs_f64()
-    );
-    let _ = writeln!(
-        out,
-        "partition: {provenance}  measured cross-edge rate: {:.2}%",
-        s.cross_edge_rate() * 100.0
-    );
-    let batching =
-        if s.msg_flushes == 0 { 0.0 } else { s.cross_msgs as f64 / s.msg_flushes as f64 };
-    let _ = writeln!(
-        out,
-        "dialogues: msgs={} flushes={} (×{batching:.1} batched) memo-suppressed={}",
-        s.cross_msgs, s.msg_flushes, s.memo_hits
-    );
-    if s.ingest_readers > 0 {
-        let _ = writeln!(out, "chunk-parallel ingest: {} readers", s.ingest_readers);
-    }
-    Ok(out)
-}
-
-/// `rapid compare --shards N` (N ≥ 2): the sharded differential mode.
-/// Each shardable algorithm runs single-shard AND split across N
-/// shards; verdict, first-violation attribution, event count and join
-/// counter must match bit for bit, else the run fails.
-fn run_compare_sharded(
-    path: &str,
-    ingest_jobs: usize,
-    batch: Option<usize>,
-    validate: bool,
-    shards: usize,
-    partition: &PartitionChoice,
-) -> Result<String, String> {
-    let mut config = ShardConfig::default().validate(validate);
-    if let Some(b) = batch {
-        config = config.batch_events(b);
-    }
-    let (own, provenance) = resolve_partition(path, partition, shards, ingest_jobs, batch)?;
-    let mut out = String::new();
-    let _ = writeln!(out, "sharded differential: {path} (1 vs {shards} shards, {provenance})");
-    let _ = writeln!(
-        out,
-        "{:<18} {:>7} {:>10} {:>12} {:>12} {:>9} {:>9}  bit-identical",
-        "checker", "verdict", "events", "clock joins", "cross evts", "wall 1", "wall N"
-    );
-    let mut mismatches = 0usize;
-    for algo in [ShardAlgo::Basic, ShardAlgo::ReadOpt] {
-        let start = Instant::now();
-        let (single, verdict_1) =
-            check_one_sharded(path, algo, Ownership::round_robin(1), ingest_jobs, &config)?;
-        let wall_1 = start.elapsed();
-        let start = Instant::now();
-        let (sharded, verdict_n) =
-            check_one_sharded(path, algo, own.clone(), ingest_jobs, &config)?;
-        let wall_n = start.elapsed();
-        let identical = single.run.outcome == sharded.run.outcome
-            && single.run.report.events == sharded.run.report.events
-            && single.run.report.clock_joins == sharded.run.report.clock_joins;
-        let _ = writeln!(
-            out,
-            "{:<18} {:>7} {:>10} {:>12} {:>12} {:>8.3}s {:>8.3}s  {}",
-            single.run.name,
-            if single.run.outcome.is_violation() { "✗" } else { "✓" },
-            single.run.report.events,
-            single.run.report.clock_joins,
-            sharded.stats.cross_events,
-            wall_1.as_secs_f64(),
-            wall_n.as_secs_f64(),
-            if identical { "✓" } else { "✗ DIVERGED" }
-        );
-        if !identical {
-            mismatches += 1;
-            let _ = writeln!(out, "  single-shard: {verdict_1}");
-            let _ = writeln!(
-                out,
-                "  {}-shard: {verdict_n} (events {} vs {}, joins {} vs {})",
-                shards,
-                single.run.report.events,
-                sharded.run.report.events,
-                single.run.report.clock_joins,
-                sharded.run.report.clock_joins
-            );
-        }
-    }
-    let _ = match mismatches {
-        0 => {
-            writeln!(out, "differential: ✓ sharded results bit-identical to the sequential engine")
-        }
-        n => writeln!(out, "differential: ✗ {n} algorithm(s) diverged"),
-    };
-    if mismatches > 0 {
-        Err(out)
-    } else {
-        Ok(out)
-    }
-}
-
 /// Executes a parsed command, returning the text to print.
 pub fn run(command: Command) -> Result<String, String> {
     match command {
@@ -1686,62 +1285,25 @@ pub fn run(command: Command) -> Result<String, String> {
         Command::MetaInfo { path, batch, ingest_jobs } => {
             // Pure statistics, computed in one streaming (batched) pass
             // — chunk-parallel over a binary trace with --ingest-jobs.
-            let source = open_source(&path)?;
             let batch_events = batch.unwrap_or(DEFAULT_BATCH_EVENTS);
-            let mut readers_used = 0usize;
-            let mut source: Box<dyn EventSource> = if ingest_jobs > 1 {
-                let AnySource::Bin(bin) = &source else {
-                    return Err(ingest_jobs_guidance(&path, ingest_jobs));
-                };
-                let trace = Arc::clone(bin.trace());
-                let chunkpar = ChunkParSource::new(trace, ingest_jobs, batch_events);
-                readers_used = chunkpar.readers();
-                Box::new(chunkpar)
-            } else {
-                Box::new(source)
-            };
+            let (mut source, readers) = open_ingest(&path, ingest_jobs, batch_events)?;
             let info = MetaInfo::collect_batched(&mut source, batch_events)
                 .map_err(|e| source_err(&path, &source, &e))?;
             let mut out = info.to_string();
-            if readers_used > 1 {
+            if readers > 0 {
                 if !out.ends_with('\n') {
                     out.push('\n');
                 }
-                let _ = writeln!(out, "chunk-parallel ingest: {readers_used} readers");
+                let _ = writeln!(out, "chunk-parallel ingest: {readers} readers");
             }
             Ok(out)
         }
-        Command::Aerodrome { path, algorithm, validate, batch, shards, ingest_jobs, partition } => {
-            if shards > 1 {
-                return run_aerodrome_sharded(
-                    &path,
-                    algorithm,
-                    validate,
-                    batch,
-                    shards,
-                    ingest_jobs,
-                    &partition,
-                );
-            }
-            let source = open_source(&path)?;
+        Command::Aerodrome { path, algorithm, validate, batch, ingest_jobs } => {
             // Chunk-parallel single-file decode (binary input only),
             // feeding the one sequential checker.
-            let mut readers_used = 0usize;
-            let source: Box<dyn EventSource> = if ingest_jobs > 1 {
-                let AnySource::Bin(bin) = &source else {
-                    return Err(ingest_jobs_guidance(&path, ingest_jobs));
-                };
-                let trace = Arc::clone(bin.trace());
-                let chunkpar =
-                    ChunkParSource::new(trace, ingest_jobs, batch.unwrap_or(DEFAULT_BATCH_EVENTS));
-                readers_used = chunkpar.readers();
-                Box::new(chunkpar)
-            } else {
-                Box::new(source)
-            };
-            let mut pipeline = Pipeline::new(source)
-                .validate(validate)
-                .batch_events(batch.unwrap_or(DEFAULT_BATCH_EVENTS));
+            let batch_events = batch.unwrap_or(DEFAULT_BATCH_EVENTS);
+            let (source, readers) = open_ingest(&path, ingest_jobs, batch_events)?;
+            let mut pipeline = Pipeline::new(source).validate(validate).batch_events(batch_events);
             let (name, mut checker): (_, Box<dyn Checker>) = match algorithm {
                 Algorithm::Basic => ("aerodrome (Algorithm 1)", Box::new(BasicChecker::new())),
                 Algorithm::ReadOpt => ("aerodrome (Algorithm 2)", Box::new(ReadOptChecker::new())),
@@ -1770,8 +1332,8 @@ pub fn run(command: Command) -> Result<String, String> {
                 cr.clocks.cow_copies,
                 cr.clocks.shares
             );
-            if readers_used > 0 {
-                let _ = writeln!(out, "chunk-parallel ingest: {readers_used} readers");
+            if readers > 0 {
+                let _ = writeln!(out, "chunk-parallel ingest: {readers} readers");
             }
             Ok(out)
         }
@@ -1800,36 +1362,15 @@ pub fn run(command: Command) -> Result<String, String> {
             }
             Ok(out)
         }
-        Command::Compare { path, jobs, ingest_jobs, batch, validate, shards, partition } => {
-            if shards > 1 {
-                return run_compare_sharded(
-                    &path,
-                    ingest_jobs,
-                    batch,
-                    validate,
-                    shards,
-                    &partition,
-                );
-            }
-            let mut source = open_source(&path)?;
+        Command::Compare { path, jobs, ingest_jobs, batch, validate } => {
             let mut config = ParConfig::default().jobs(jobs).validate(validate);
             if let Some(b) = batch {
                 config = config.batch_events(b);
             }
+            let (mut source, readers) = open_ingest(&path, ingest_jobs, config.batch_events)?;
             let start = Instant::now();
-            let report = if ingest_jobs > 1 {
-                // Chunk-parallel single-file ingest needs the chunk
-                // index of the binary container.
-                let AnySource::Bin(bin) = &source else {
-                    return Err(ingest_jobs_guidance(&path, ingest_jobs));
-                };
-                let trace = Arc::clone(bin.trace());
-                par::check_all_chunked(&trace, par::standard_checkers(), &config, ingest_jobs)
-                    .map_err(|e| source_err(&path, &source, &e))?
-            } else {
-                par::check_all(&mut source, par::standard_checkers(), &config)
-                    .map_err(|e| source_err(&path, &source, &e))?
-            };
+            let report = par::check_all(&mut source, par::standard_checkers(), &config)
+                .map_err(|e| source_err(&path, &source, &e))?;
             let wall = start.elapsed();
             let names = source.names();
             let mut out = String::new();
@@ -1842,9 +1383,8 @@ pub fn run(command: Command) -> Result<String, String> {
                 report.stats.batches,
                 wall.as_secs_f64()
             );
-            if report.stats.ingest_readers > 0 {
-                let _ =
-                    writeln!(out, "chunk-parallel ingest: {} readers", report.stats.ingest_readers);
+            if readers > 0 {
+                let _ = writeln!(out, "chunk-parallel ingest: {readers} readers");
             }
             let _ = writeln!(
                 out,
@@ -2005,22 +1545,10 @@ pub fn run(command: Command) -> Result<String, String> {
             }
         }
         Command::Validate { path, batch, ingest_jobs } => {
-            let source = open_source(&path)?;
             let batch_events = batch.unwrap_or(DEFAULT_BATCH_EVENTS);
-            let mut readers_used = 0usize;
             // Chunk-parallel decode restitches events in trace order,
             // so the online validator sees the same stream either way.
-            let mut source: Box<dyn EventSource> = if ingest_jobs > 1 {
-                let AnySource::Bin(bin) = &source else {
-                    return Err(ingest_jobs_guidance(&path, ingest_jobs));
-                };
-                let trace = Arc::clone(bin.trace());
-                let chunkpar = ChunkParSource::new(trace, ingest_jobs, batch_events);
-                readers_used = chunkpar.readers();
-                Box::new(chunkpar)
-            } else {
-                Box::new(source)
-            };
+            let (mut source, readers) = open_ingest(&path, ingest_jobs, batch_events)?;
             let mut validator = Validator::new();
             let mut arena = EventBatch::with_target(batch_events);
             'ingest: loop {
@@ -2057,76 +1585,10 @@ pub fn run(command: Command) -> Result<String, String> {
                     summary.held_locks.len()
                 );
             }
-            if readers_used > 1 {
-                let _ = writeln!(out, "chunk-parallel ingest: {readers_used} readers");
+            if readers > 0 {
+                let _ = writeln!(out, "chunk-parallel ingest: {readers} readers");
             }
             Ok(out)
-        }
-        Command::Partition { path, shards, balance, out, measure, batch, ingest_jobs } => {
-            let start = Instant::now();
-            let profile = profile_trace(&path, ingest_jobs, batch)?;
-            let plan = profile.partition_with_balance(shards, balance);
-            let wall = start.elapsed();
-            let auto = plan.predicted();
-            let rr = profile.evaluate(&Ownership::round_robin(shards));
-            let mut o = String::new();
-            let _ = writeln!(o, "affinity plan: {path} over {shards} shard(s)");
-            let _ = writeln!(
-                o,
-                "events: {}  threads: {}  locks: {}  vars: {}  profile wall: {:.3}s",
-                profile.events,
-                profile.thread_weight.len(),
-                plan.locks.len(),
-                plan.vars.len(),
-                wall.as_secs_f64()
-            );
-            let _ = writeln!(
-                o,
-                "{:<12} {:>12} {:>12} {:>11}",
-                "partition", "cross evts", "global ends", "cross rate"
-            );
-            for (name, p) in [("round-robin", rr), ("auto", auto)] {
-                let _ = writeln!(
-                    o,
-                    "{name:<12} {:>12} {:>12} {:>10.2}%",
-                    p.cross_events,
-                    p.global_ends,
-                    p.cross_rate() * 100.0
-                );
-            }
-            let _ = match (rr.cross_events, auto.cross_events) {
-                (_, 0) => {
-                    writeln!(o, "predicted cross-event reduction: all {} removed", rr.cross_events)
-                }
-                (base, got) => {
-                    writeln!(o, "predicted cross-event reduction: ×{:.1}", base as f64 / got as f64)
-                }
-            };
-            if measure {
-                let (got, _) = check_one_sharded(
-                    &path,
-                    ShardAlgo::ReadOpt,
-                    plan.ownership(),
-                    ingest_jobs,
-                    &ShardConfig::default(),
-                )?;
-                let s = &got.stats;
-                let agree =
-                    s.cross_events == auto.cross_events && s.global_ends == auto.global_ends;
-                let _ = writeln!(
-                    o,
-                    "measured (Algorithm 2): cross={} global-ends={} rate={:.2}% — prediction {}",
-                    s.cross_events,
-                    s.global_ends,
-                    s.cross_edge_rate() * 100.0,
-                    if agree { "exact ✓" } else { "diverged (run stopped early?)" }
-                );
-            }
-            if let Some(file) = out {
-                std::fs::write(&file, plan.to_json()).map_err(|e| format!("{file}: {e}"))?;
-                let _ = writeln!(o, "plan written: {file} (use with --partition {file})");
-            }
-            Ok(o)
         }
         Command::Generate {
             path,
@@ -2612,12 +2074,10 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path: "t.std".into(),
                 algorithm: Algorithm::Basic,
                 validate: true,
                 batch: None,
-                shards: 1,
                 ingest_jobs: 1
             }
         );
@@ -2626,12 +2086,10 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path: "t.std".into(),
                 algorithm: Algorithm::Optimized,
                 validate: true,
                 batch: None,
-                shards: 1,
                 ingest_jobs: 1
             }
         );
@@ -2641,12 +2099,10 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path: "t.std".into(),
                 algorithm: Algorithm::Optimized,
                 validate: false,
                 batch: None,
-                shards: 1,
                 ingest_jobs: 1
             }
         );
@@ -2659,77 +2115,6 @@ mod tests {
             Command::Validate { path: "t.std".into(), batch: None, ingest_jobs: 1 }
         );
         assert!(parse_args(&args(&["validate"])).is_err());
-    }
-
-    #[test]
-    fn parses_partition_flags_and_subcommand() {
-        assert_eq!(
-            parse_args(&args(&["check", "t.std", "--shards", "2", "--partition", "auto"])).unwrap(),
-            Command::Aerodrome {
-                partition: PartitionChoice::Auto,
-                path: "t.std".into(),
-                algorithm: Algorithm::Optimized,
-                validate: true,
-                batch: None,
-                shards: 2,
-                ingest_jobs: 1
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&["compare", "t.rbt", "--shards", "4", "--partition", "plan.json"]))
-                .unwrap(),
-            Command::Compare {
-                partition: PartitionChoice::Plan("plan.json".into()),
-                path: "t.rbt".into(),
-                jobs: 0,
-                ingest_jobs: 1,
-                batch: None,
-                validate: true,
-                shards: 4
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&[
-                "partition",
-                "t.rbt",
-                "--shards",
-                "4",
-                "--balance",
-                "0.1",
-                "--out",
-                "plan.json",
-                "--measure",
-                "--ingest-jobs",
-                "2",
-                "--batch",
-                "128",
-            ]))
-            .unwrap(),
-            Command::Partition {
-                path: "t.rbt".into(),
-                shards: 4,
-                balance: 0.1,
-                out: Some("plan.json".into()),
-                measure: true,
-                batch: Some(128),
-                ingest_jobs: 2
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&["metainfo", "t.rbt", "--ingest-jobs", "3"])).unwrap(),
-            Command::MetaInfo { path: "t.rbt".into(), batch: None, ingest_jobs: 3 }
-        );
-        assert_eq!(
-            parse_args(&args(&["validate", "t.rbt", "--ingest-jobs", "3"])).unwrap(),
-            Command::Validate { path: "t.rbt".into(), batch: None, ingest_jobs: 3 }
-        );
-        // A non-round-robin partition without shards ≥ 2 is a
-        // contradiction, not a silent no-op.
-        assert!(parse_args(&args(&["check", "t.std", "--partition", "auto"])).is_err());
-        assert!(parse_args(&args(&["compare", "t.std", "--partition", "auto"])).is_err());
-        // An explicit round-robin at one shard stays the identity.
-        assert!(parse_args(&args(&["check", "t.std", "--partition", "round-robin"])).is_ok());
-        assert!(parse_args(&args(&["partition", "t.rbt", "--balance", "-1"])).is_err());
     }
 
     #[test]
@@ -2822,58 +2207,36 @@ mod tests {
         assert_eq!(
             parse_args(&args(&["compare", "t.rbt", "--ingest-jobs", "4"])).unwrap(),
             Command::Compare {
-                partition: PartitionChoice::RoundRobin,
                 path: "t.rbt".into(),
                 jobs: 0,
                 ingest_jobs: 4,
                 batch: None,
                 validate: true,
-                shards: 1
             }
         );
         let err = parse_args(&args(&["compare", "t.rbt", "--ingest-jobs", "0"])).unwrap_err();
         assert!(err.0.contains("--ingest-jobs must be positive"), "{err}");
 
-        // The sharding flags parse on check/aerodrome and compare, and
-        // `--shards 0` is a contradiction everywhere.
+        // `--ingest-jobs` parses on every chunk-parallel subcommand.
         assert_eq!(
-            parse_args(&args(&[
-                "check",
-                "t.rbt",
-                "--algorithm",
-                "basic",
-                "--shards",
-                "4",
-                "--ingest-jobs",
-                "2"
-            ]))
-            .unwrap(),
+            parse_args(&args(&["check", "t.rbt", "--algorithm", "basic", "--ingest-jobs", "2"]))
+                .unwrap(),
             Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path: "t.rbt".into(),
                 algorithm: Algorithm::Basic,
                 validate: true,
                 batch: None,
-                shards: 4,
                 ingest_jobs: 2
             }
         );
         assert_eq!(
-            parse_args(&args(&["compare", "t.rbt", "--shards", "2"])).unwrap(),
-            Command::Compare {
-                partition: PartitionChoice::RoundRobin,
-                path: "t.rbt".into(),
-                jobs: 0,
-                ingest_jobs: 1,
-                batch: None,
-                validate: true,
-                shards: 2
-            }
+            parse_args(&args(&["metainfo", "t.rbt", "--ingest-jobs", "3"])).unwrap(),
+            Command::MetaInfo { path: "t.rbt".into(), batch: None, ingest_jobs: 3 }
         );
-        for cmd in ["check", "compare"] {
-            let err = parse_args(&args(&[cmd, "t.rbt", "--shards", "0"])).unwrap_err();
-            assert!(err.0.contains("--shards must be positive"), "{cmd}: {err}");
-        }
+        assert_eq!(
+            parse_args(&args(&["validate", "t.rbt", "--ingest-jobs", "3"])).unwrap(),
+            Command::Validate { path: "t.rbt".into(), batch: None, ingest_jobs: 3 }
+        );
 
         let cmd = parse_args(&args(&["generate", "o.rbt", "--out-format", "rbt"])).unwrap();
         match cmd {
@@ -2894,6 +2257,16 @@ mod tests {
         assert!(parse_args(&args(&["frobnicate"])).is_err());
         assert!(parse_args(&args(&["table1", "--bogus"])).is_err());
         assert!(parse_args(&args(&["generate", "o", "--events"])).is_err());
+        // The removed per-trace sharding surface is a usage error,
+        // never silently ignored.
+        for argv in [
+            &["check", "t.rbt", "--shards", "2"][..],
+            &["compare", "t.std", "--partition", "auto"],
+            &["partition", "t.rbt"],
+        ] {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert!(err.0.starts_with("unknown"), "{argv:?}: {err}");
+        }
     }
 
     #[test]
@@ -2925,12 +2298,10 @@ mod tests {
 
         for algorithm in [Algorithm::Basic, Algorithm::ReadOpt, Algorithm::Optimized] {
             let report = run(Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path: path.clone(),
                 algorithm,
                 validate: true,
                 batch: None,
-                shards: 1,
                 ingest_jobs: 1,
             })
             .unwrap();
@@ -3110,12 +2481,10 @@ mod twophase_causal_tests {
         // semantically ill-formed.
         std::fs::write(&path, "t1|begin|0\nt1|rel(m)|1\nt1|end|2\n").unwrap();
         let err = run(Command::Aerodrome {
-            partition: PartitionChoice::RoundRobin,
             path: path.clone(),
             algorithm: Algorithm::Optimized,
             validate: true,
             batch: None,
-            shards: 1,
             ingest_jobs: 1,
         })
         .unwrap_err();
@@ -3126,12 +2495,10 @@ mod twophase_causal_tests {
         // The opt-out analyses the trace anyway (verdict meaningless but
         // the paper's algorithms do not crash).
         let out = run(Command::Aerodrome {
-            partition: PartitionChoice::RoundRobin,
             path: path.clone(),
             algorithm: Algorithm::Optimized,
             validate: false,
             batch: None,
-            shards: 1,
             ingest_jobs: 1,
         })
         .unwrap();
@@ -3159,12 +2526,10 @@ mod twophase_causal_tests {
                 run(Command::Validate { path: path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
             assert!(report.contains("closed"), "{name}: {report}");
             let report = run(Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path,
                 algorithm: Algorithm::Optimized,
                 validate: true,
                 batch: None,
-                shards: 1,
                 ingest_jobs: 1,
             })
             .unwrap();
@@ -3403,12 +2768,10 @@ mod binfmt_cli_tests {
                 run(Command::Validate { path: path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
             assert!(out.contains("well-formed"), "{path}: {out}");
             let out = run(Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path: path.clone(),
                 algorithm: Algorithm::Optimized,
                 validate: true,
                 batch: None,
-                shards: 1,
                 ingest_jobs: 1,
             })
             .unwrap();
@@ -3426,24 +2789,20 @@ mod binfmt_cli_tests {
             out.lines().filter(|l| l.contains('✗') || l.contains('✓')).map(str::to_owned).collect()
         };
         let reference = run(Command::Compare {
-            partition: PartitionChoice::RoundRobin,
             path: std_path,
             jobs: 2,
             ingest_jobs: 1,
             batch: Some(257),
             validate: true,
-            shards: 1,
         })
         .unwrap();
         for ingest_jobs in [1usize, 2, 4] {
             let out = run(Command::Compare {
-                partition: PartitionChoice::RoundRobin,
                 path: rbt_path.clone(),
                 jobs: 2,
                 ingest_jobs,
                 batch: Some(257),
                 validate: true,
-                shards: 1,
             })
             .unwrap();
             assert_eq!(
@@ -3462,13 +2821,11 @@ mod binfmt_cli_tests {
         let dir = tmp_dir("reject");
         let std_path = generate_std(&dir, "t.std", 100);
         let err = run(Command::Compare {
-            partition: PartitionChoice::RoundRobin,
             path: std_path,
             jobs: 1,
             ingest_jobs: 2,
             batch: None,
             validate: true,
-            shards: 1,
         })
         .unwrap_err();
         assert!(err.contains("rapid convert"), "must point at the converter: {err}");
@@ -3486,22 +2843,18 @@ mod binfmt_cli_tests {
         let dir2 = tmp_dir("accept-one");
         let ok_path = generate_std(&dir2, "t.std", 100);
         run(Command::Compare {
-            partition: PartitionChoice::RoundRobin,
             path: ok_path.clone(),
             jobs: 1,
             ingest_jobs: 1,
             batch: None,
             validate: true,
-            shards: 1,
         })
         .unwrap();
         run(Command::Aerodrome {
-            partition: PartitionChoice::RoundRobin,
             path: ok_path,
             algorithm: Algorithm::Optimized,
             validate: true,
             batch: None,
-            shards: 1,
             ingest_jobs: 1,
         })
         .unwrap();
@@ -3515,12 +2868,10 @@ mod binfmt_cli_tests {
         convert(&std_path, &rbt_path);
         let check = |path: &str, ingest_jobs: usize| {
             run(Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
                 path: path.to_owned(),
                 algorithm: Algorithm::Optimized,
                 validate: true,
                 batch: Some(100),
-                shards: 1,
                 ingest_jobs,
             })
             .unwrap()
@@ -3533,202 +2884,14 @@ mod binfmt_cli_tests {
         assert!(parallel.contains("chunk-parallel ingest"), "{parallel}");
         // Text input with ingest_jobs > 1 gets the same guidance as compare.
         let err = run(Command::Aerodrome {
-            partition: PartitionChoice::RoundRobin,
             path: std_path,
             algorithm: Algorithm::Optimized,
             validate: true,
             batch: None,
-            shards: 1,
             ingest_jobs: 2,
         })
         .unwrap_err();
         assert!(err.contains("rapid convert"), "{err}");
-    }
-
-    #[test]
-    fn sharded_check_matches_sequential_and_rejects_optimized() {
-        let dir = tmp_dir("sharded-check");
-        let std_path = generate_std(&dir, "t.std", 3_000);
-        let rbt_path = format!("{dir}/t.rbt");
-        convert(&std_path, &rbt_path);
-        let verdict =
-            |out: &str| out.lines().find(|l| l.starts_with("verdict:")).map(str::to_owned);
-        for algorithm in [Algorithm::Basic, Algorithm::ReadOpt] {
-            let sequential = run(Command::Aerodrome {
-                partition: PartitionChoice::RoundRobin,
-                path: std_path.clone(),
-                algorithm,
-                validate: true,
-                batch: None,
-                shards: 1,
-                ingest_jobs: 1,
-            })
-            .unwrap();
-            for (path, ingest_jobs) in [(&std_path, 1usize), (&rbt_path, 2)] {
-                let sharded = run(Command::Aerodrome {
-                    partition: PartitionChoice::RoundRobin,
-                    path: path.clone(),
-                    algorithm,
-                    validate: true,
-                    batch: None,
-                    shards: 3,
-                    ingest_jobs,
-                })
-                .unwrap();
-                assert_eq!(
-                    verdict(&sharded),
-                    verdict(&sequential),
-                    "{algorithm:?} ingest_jobs={ingest_jobs}:\n{sharded}\nvs\n{sequential}"
-                );
-                assert!(sharded.contains("sharding: shards=3"), "{sharded}");
-            }
-        }
-        let err = run(Command::Aerodrome {
-            partition: PartitionChoice::RoundRobin,
-            path: std_path,
-            algorithm: Algorithm::Optimized,
-            validate: true,
-            batch: None,
-            shards: 2,
-            ingest_jobs: 1,
-        })
-        .unwrap_err();
-        assert!(err.contains("basic|readopt"), "{err}");
-    }
-
-    #[test]
-    fn compare_shards_runs_the_differential_and_reports_identical() {
-        let dir = tmp_dir("compare-shards");
-        let std_path = generate_std(&dir, "t.std", 2_000);
-        let out = run(Command::Compare {
-            partition: PartitionChoice::RoundRobin,
-            path: std_path,
-            jobs: 1,
-            ingest_jobs: 1,
-            batch: Some(129),
-            validate: true,
-            shards: 4,
-        })
-        .unwrap();
-        assert!(out.contains("sharded differential"), "{out}");
-        assert!(out.contains("bit-identical to the sequential engine"), "{out}");
-        assert!(!out.contains("DIVERGED"), "{out}");
-    }
-
-    fn generate_fanout(dir: &str, name: &str, events: usize) -> String {
-        let path = format!("{dir}/{name}");
-        run(Command::Generate {
-            path: path.clone(),
-            cfg: Box::new(workloads::GenConfig {
-                events,
-                threads: 4,
-                ..workloads::GenConfig::default()
-            }),
-            profile: Some("fanout".into()),
-            overrides: GenOverrides::default(),
-            seal: false,
-            jobs: 0,
-            corpus: None,
-            batch: None,
-            out_format: OutFormat::default(),
-        })
-        .unwrap();
-        path
-    }
-
-    fn cross_of(out: &str) -> u64 {
-        out.lines()
-            .find(|l| l.starts_with("sharding:"))
-            .and_then(|l| l.split_whitespace().find_map(|w| w.strip_prefix("cross=")))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("no sharding cross count in:\n{out}"))
-    }
-
-    #[test]
-    fn partition_subcommand_plans_and_check_accepts_the_plan() {
-        let dir = tmp_dir("partition-plan");
-        let std_path = generate_fanout(&dir, "fanout.std", 4_000);
-        let rbt_path = format!("{dir}/fanout.rbt");
-        convert(&std_path, &rbt_path);
-        let plan_path = format!("{dir}/plan.json");
-
-        let out = run(Command::Partition {
-            path: rbt_path.clone(),
-            shards: 2,
-            balance: affinity::DEFAULT_BALANCE,
-            out: Some(plan_path.clone()),
-            measure: true,
-            batch: None,
-            ingest_jobs: 2,
-        })
-        .unwrap();
-        assert!(out.contains("plan written"), "{out}");
-        assert!(out.contains("exact ✓"), "prediction must match the measured run: {out}");
-
-        let check = |partition: PartitionChoice| {
-            run(Command::Aerodrome {
-                partition,
-                path: rbt_path.clone(),
-                algorithm: Algorithm::ReadOpt,
-                validate: true,
-                batch: None,
-                shards: 2,
-                ingest_jobs: 1,
-            })
-            .unwrap()
-        };
-        let verdict =
-            |out: &str| out.lines().find(|l| l.starts_with("verdict:")).map(str::to_owned);
-        let rr = check(PartitionChoice::RoundRobin);
-        let auto = check(PartitionChoice::Auto);
-        let planned = check(PartitionChoice::Plan(plan_path.clone()));
-        assert_eq!(verdict(&auto), verdict(&rr), "{auto}\nvs\n{rr}");
-        assert_eq!(verdict(&planned), verdict(&rr), "{planned}\nvs\n{rr}");
-        // The saved plan IS the auto plan: identical routing, identical cost.
-        assert_eq!(cross_of(&auto), cross_of(&planned), "{auto}\nvs\n{planned}");
-        // Fanout's private vars re-align with their workers: ≥2× fewer
-        // cross-shard events than blind round-robin.
-        assert!(
-            2 * cross_of(&auto) <= cross_of(&rr),
-            "auto={} rr={}:\n{auto}\nvs\n{rr}",
-            cross_of(&auto),
-            cross_of(&rr)
-        );
-        assert!(auto.contains("partition: auto"), "{auto}");
-        assert!(planned.contains(&format!("plan {plan_path}")), "{planned}");
-
-        // A plan is bound to its shard count; a mismatch is an error,
-        // not a silent re-derivation.
-        let err = run(Command::Aerodrome {
-            partition: PartitionChoice::Plan(plan_path),
-            path: rbt_path,
-            algorithm: Algorithm::ReadOpt,
-            validate: true,
-            batch: None,
-            shards: 3,
-            ingest_jobs: 1,
-        })
-        .unwrap_err();
-        assert!(err.contains("--shards 3"), "{err}");
-    }
-
-    #[test]
-    fn compare_accepts_auto_partition() {
-        let dir = tmp_dir("compare-auto");
-        let std_path = generate_fanout(&dir, "fanout.std", 2_000);
-        let out = run(Command::Compare {
-            partition: PartitionChoice::Auto,
-            path: std_path,
-            jobs: 1,
-            ingest_jobs: 1,
-            batch: Some(129),
-            validate: true,
-            shards: 2,
-        })
-        .unwrap();
-        assert!(out.contains("auto"), "{out}");
-        assert!(out.contains("bit-identical to the sequential engine"), "{out}");
-        assert!(!out.contains("DIVERGED"), "{out}");
     }
 
     #[test]

@@ -346,28 +346,39 @@ impl BinTrace {
         let (index_offset, names_offset, names_len, event_count, chunk_count) =
             (word(0), word(1), word(2), word(3), word(4));
 
-        let events_end = HEADER_BYTES as u64 + event_count * EVENT_RECORD_BYTES as u64;
-        if names_offset != events_end {
+        // The footer words are untrusted: every offset is derived with
+        // checked arithmetic, and an overflow is as corrupt as a mismatch.
+        let events_end = event_count
+            .checked_mul(EVENT_RECORD_BYTES as u64)
+            .and_then(|len| len.checked_add(HEADER_BYTES as u64));
+        if events_end != Some(names_offset) {
             return Err(BinfmtError::Corrupt { what: "name region does not follow event region" });
         }
-        if index_offset != names_offset + names_len {
+        if names_offset.checked_add(names_len) != Some(index_offset) {
             return Err(BinfmtError::Corrupt { what: "chunk index does not follow name region" });
         }
-        let index_len = chunk_count * CHUNK_ENTRY_BYTES as u64;
-        if index_offset + index_len != file_len - FOOTER_BYTES as u64 {
+        let index_end = chunk_count
+            .checked_mul(CHUNK_ENTRY_BYTES as u64)
+            .and_then(|len| len.checked_add(index_offset));
+        if index_end != Some(file_len - FOOTER_BYTES as u64) {
             return Err(BinfmtError::Corrupt { what: "chunk index does not end at the footer" });
         }
+        // Both regions now lie inside the file (the product above did not
+        // overflow); only a host narrower than the file can refuse them.
+        let too_large = |_| BinfmtError::Corrupt { what: "region larger than addressable memory" };
+        let names_len = usize::try_from(names_len).map_err(too_large)?;
+        let index_len =
+            usize::try_from(chunk_count * CHUNK_ENTRY_BYTES as u64).map_err(too_large)?;
 
         let mut threads = Interner::new();
         let mut locks = Interner::new();
         let mut vars = Interner::new();
-        let names = backing.read(names_offset, names_len as usize, &mut scratch)?;
+        let names = backing.read(names_offset, names_len, &mut scratch)?;
         wire::decode_names(names, &mut threads, &mut locks, &mut vars)
             .map_err(BinfmtError::Names)?;
 
-        let chunk_count = usize::try_from(chunk_count).expect("chunk count fits usize");
-        let mut chunks = Vec::with_capacity(chunk_count);
-        let index = backing.read(index_offset, chunk_count * CHUNK_ENTRY_BYTES, &mut scratch)?;
+        let mut chunks = Vec::with_capacity(index_len / CHUNK_ENTRY_BYTES);
+        let index = backing.read(index_offset, index_len, &mut scratch)?;
         let mut next_event = 0u64;
         let (mut t, mut l, mut v) = (0u32, 0u32, 0u32);
         for (i, entry) in index.chunks_exact(CHUNK_ENTRY_BYTES).enumerate() {
@@ -1009,6 +1020,31 @@ mod tests {
         }
         // Errors are fatal, as in StdReader.
         assert_eq!(source.next_batch(&mut batch).unwrap(), 0);
+    }
+
+    #[test]
+    fn hostile_footer_words_are_corrupt_never_a_panic() {
+        let path = write_sample("footer.rbt", 4);
+        let bytes = fs::read(&path).unwrap();
+        let footer = bytes.len() - FOOTER_BYTES;
+        let cut = temp("footer-bad.rbt");
+        // Words: index_offset, names_offset, names_len, event_count,
+        // chunk_count. `+ 2^61` makes `chunk_count × 24` wrap back to
+        // the true index length; on the other words it overflows or
+        // mismatches the derived offsets.
+        for word in 0..5 {
+            let at = footer + word * 8;
+            let original = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            for value in [0, 1, u64::MAX, original.wrapping_add(1 << 61)] {
+                let mut bad = bytes.clone();
+                bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                fs::write(&cut, &bad).unwrap();
+                match BinTrace::open(&cut) {
+                    Err(BinfmtError::Corrupt { .. } | BinfmtError::Index { .. }) => {}
+                    other => panic!("footer word {word} = {value:#x}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,13 +31,11 @@
 
 mod clock;
 mod epoch;
-pub mod msg;
 pub mod pool;
 pub mod store;
 
 pub use clock::VectorClock;
 pub use epoch::Epoch;
-pub use msg::{ClockMsg, MsgPool};
 pub use pool::{ClockId, ClockPool, PoolClock, PoolStats};
 pub use store::{ClockStore, Cloned};
 

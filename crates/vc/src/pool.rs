@@ -743,56 +743,6 @@ impl ClockPool {
             }
         }
     }
-
-    /// Writes the full component vector of `c` into `buf` (cleared
-    /// first) — the serialisation half of the cross-shard clock-message
-    /// path ([`crate::msg::ClockMsg`]). The caller recycles `buf`, so a
-    /// warm message round trip performs no pool allocations at all.
-    pub fn fill_components(&self, c: &PoolClock, buf: &mut Vec<Time>) {
-        buf.clear();
-        match *c {
-            PoolClock::Bottom => {}
-            PoolClock::Epoch(e) => {
-                buf.resize(e.thread() + 1, 0);
-                buf[e.thread()] = e.time();
-            }
-            PoolClock::Full(id) => buf.extend_from_slice(&self.slots[id.index()].buf),
-        }
-    }
-
-    /// The assignment `dst := comps` from a raw component slice — the
-    /// deserialisation half of the clock-message path. Writes into
-    /// `dst`'s own buffer when it is the slot's sole owner (the warm
-    /// steady state: zero heap allocations), otherwise releases the
-    /// shared slot and materialises into a recycled one. An empty slice
-    /// assigns `⊥` without touching the pool.
-    pub fn assign_components(&mut self, dst: &mut PoolClock, comps: &[Time]) {
-        if comps.is_empty() {
-            let old = std::mem::take(dst);
-            self.release(old);
-            return;
-        }
-        let d = match *dst {
-            PoolClock::Full(d) if self.slots[d.index()].refs == 1 => d,
-            _ => {
-                let old = std::mem::take(dst);
-                self.release(old);
-                let d = self.alloc();
-                *dst = PoolClock::Full(d);
-                d
-            }
-        };
-        let Self { slots, stats, hint_len, .. } = self;
-        let buf = &mut slots[d.index()].buf;
-        buf.clear();
-        if comps.len() > buf.capacity() {
-            stats.buffer_grows += 1;
-            buf.reserve_exact((*hint_len).max(comps.len()));
-        }
-        *hint_len = (*hint_len).max(comps.len());
-        buf.extend_from_slice(comps);
-        stats.cow_copies += 1;
-    }
 }
 
 /// The parallel runtime hands each checker worker its own shard-local

@@ -1,13 +1,15 @@
 //! Chunk-parallel `.rbt` ingest behind the ordinary [`EventSource`]
 //! interface.
 //!
-//! [`super::par::check_all_chunked`] couples its parallel chunk decode
-//! to the multi-checker fan-out loop. This module factors the reader
-//! side out: [`ChunkParSource`] owns the claim-a-chunk reader threads
-//! and the trace-order restitching, and *presents* the result as a
-//! plain [`EventSource`] — so any consumer (the sharded runtime, a
-//! single-checker [`super::Pipeline`], `rapid check --ingest-jobs N`)
-//! gets parallel decode without knowing about chunks at all.
+//! [`ChunkParSource`] owns reader threads that claim chunks off the
+//! trace's chunk index and decode them concurrently (sharing one mapping
+//! through the `Arc`), restitches their batches into trace order, and
+//! *presents* the result as a plain [`EventSource`]. Any consumer — a
+//! single-checker [`super::Pipeline`], the [`super::par::check_all`]
+//! fan-out, `rapid metainfo`/`validate`/`check`/`compare --ingest-jobs
+//! N` — gets parallel decode without knowing about chunks at all, with
+//! verdicts, counters and error attribution identical to a single
+//! [`MmapSource`] over the same file.
 //!
 //! Batches are handed over by swapping arenas (`std::mem::swap`), so
 //! the decode output reaches the consumer without copying events; the
@@ -21,6 +23,10 @@
 //! bounded: a reader stalls (cheap sleep-poll) once it runs more than
 //! a small window of chunks ahead of the consumption point, so
 //! buffered out-of-order batches stay `O(readers · chunk size)`.
+//!
+//! A reader panic is re-raised on the consumer's thread — by the refill
+//! that finds the readers gone, or at drop — never turned into an early
+//! end-of-stream, which would certify a prefix as the whole trace.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -89,9 +95,8 @@ impl ChunkParSource {
     /// `batch_events` events.
     ///
     /// `readers` is clamped to the trace's chunk count and to at least
-    /// one. For bit-identical hand-off granularity, consumers should
-    /// refill with the same `batch_events` they pass here (the swap
-    /// hand-off makes the *producer's* size the one that matters).
+    /// one. The swap hand-off makes `batch_events` the granularity the
+    /// consumer sees, whatever the size of the arenas it refills.
     #[must_use]
     pub fn new(trace: Arc<BinTrace>, readers: usize, batch_events: usize) -> Self {
         let chunk_count = trace.chunks().len();
@@ -156,6 +161,16 @@ impl ChunkParSource {
         self.handles.len()
     }
 
+    /// Joins every reader thread, re-raising the first reader panic on
+    /// the calling thread.
+    fn join_readers(&mut self) {
+        for handle in self.handles.drain(..) {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
+
     /// Advances the expected `(chunk, sub)` cursor, skipping chunks
     /// that decode into zero batches and bumping the consumption point
     /// readers stall against.
@@ -205,11 +220,16 @@ fn reader(
         };
         let mut sub = 0;
         loop {
+            // A recycled arena's target sets the refill size, so only
+            // arenas of this source's size keep the sub-batch sequence
+            // the consumer expects.
             let mut batch = recycle_rx
                 .lock()
                 .expect("recycle receiver lock")
                 .try_recv()
-                .unwrap_or_else(|_| EventBatch::with_target(batch_events));
+                .ok()
+                .filter(|b| b.target() == batch_events)
+                .unwrap_or_else(|| EventBatch::with_target(batch_events));
             match src.next_batch(&mut batch) {
                 Ok(0) => break,
                 Ok(_) => {
@@ -286,11 +306,11 @@ impl EventSource for ChunkParSource {
                     self.pending.insert((chunk, sub), msg);
                 }
                 // All readers gone with batches outstanding: a reader
-                // panicked. Surface end-of-stream; the consumer's
-                // verdict over the prefix stands.
+                // panicked. Re-raise it rather than end the stream early.
                 Err(_) => {
                     self.done = true;
-                    return Ok(0);
+                    self.join_readers();
+                    unreachable!("chunk readers exited with batches outstanding");
                 }
             }
         };
@@ -329,8 +349,14 @@ impl Drop for ChunkParSource {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         drop(self.data_rx.take()); // unblocks any reader mid-send
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        if thread::panicking() {
+            // Already unwinding (perhaps from a reader panic re-raised
+            // by `next_batch`): a second panic would abort.
+            for handle in self.handles.drain(..) {
+                let _ = handle.join();
+            }
+        } else {
+            self.join_readers();
         }
     }
 }
@@ -378,12 +404,43 @@ mod tests {
     }
 
     #[test]
+    fn consumer_arenas_of_another_size_keep_the_sequence_exact() {
+        // The consumer's arenas flow back to the readers; one smaller
+        // than the readers' batches must not split chunks into more
+        // sub-batches than the reorder cursor expects.
+        let trace = small_rbt("foreign-arenas", 64);
+        let mut single = MmapSource::new(Arc::clone(&trace));
+        let mut batch = EventBatch::with_target(32);
+        let mut expected = Vec::new();
+        while single.next_batch(&mut batch).expect("decode") > 0 {
+            expected.extend_from_slice(batch.events());
+        }
+        let mut par = ChunkParSource::new(trace, 3, 32);
+        let mut small = EventBatch::with_target(16);
+        let mut got = Vec::new();
+        while par.next_batch(&mut small).expect("decode") > 0 {
+            got.extend_from_slice(small.events());
+        }
+        assert!(got == expected, "{} events vs {}", got.len(), expected.len());
+    }
+
+    #[test]
     fn names_and_size_hint_come_from_the_trace() {
         let trace = small_rbt("names", 128);
         let src = ChunkParSource::new(Arc::clone(&trace), 2, 64);
         assert_eq!(src.size_hint(), Some(trace.event_count()));
         assert_eq!(src.names().threads.len(), 4);
         assert!(src.position_of(EventId(0)).expect("record 0").contains("record 0"));
+    }
+
+    #[test]
+    #[should_panic(expected = "batch target must be positive")]
+    fn reader_panic_is_re_raised_not_a_short_stream() {
+        // A zero batch target panics inside every reader thread; the
+        // consumer must see that panic, not an empty (certified) trace.
+        let mut par = ChunkParSource::new(small_rbt("panic", 64), 2, 0);
+        let mut batch = EventBatch::with_target(16);
+        let _ = par.next_batch(&mut batch);
     }
 
     #[test]

@@ -53,11 +53,9 @@ use velodrome::twophase::TwoPhaseReport;
 use velodrome::Config as VelodromeConfig;
 
 pub mod adversarial;
-pub mod affinity;
 pub mod chunkpar;
 pub mod multi;
 pub mod par;
-pub mod shard;
 
 /// One ingest step's validation, shared by the [`par`] fan-out, the
 /// [`multi`] corpus scheduler and the serving runtime so their

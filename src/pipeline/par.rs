@@ -45,10 +45,8 @@
 //! # Ok::<(), tracelog::SourceError>(())
 //! ```
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -56,7 +54,6 @@ use aerodrome::basic::BasicChecker;
 use aerodrome::optimized::OptimizedChecker;
 use aerodrome::readopt::ReadOptChecker;
 use aerodrome::{Checker, CheckerReport, Outcome, Violation};
-use tracelog::binfmt::{BinTrace, MmapSource};
 use tracelog::stream::{EventBatch, EventSource, DEFAULT_BATCH_EVENTS};
 use tracelog::{SourceError, Validator, ValiditySummary};
 use velodrome::VelodromeChecker;
@@ -168,9 +165,6 @@ pub struct ParStats {
     /// Bounded by `channel_batches + 2` no matter how slow a worker is —
     /// the backpressure invariant asserted in the tests.
     pub batch_buffers: usize,
-    /// Reader threads that decoded chunks in parallel ([`check_all_chunked`]);
-    /// `0` when the calling thread ingested alone ([`check_all`]).
-    pub ingest_readers: usize,
 }
 
 /// The outcome of [`check_all`].
@@ -384,249 +378,6 @@ pub fn check_all<S: EventSource + ?Sized>(
         return Err(e);
     }
     runs.sort_by_key(|(index, _)| *index); // recover input order
-    let runs = runs.into_iter().map(|(_, run)| run).collect();
-    Ok(ParReport { runs, events, summary: validator.map(Validator::finish), stats })
-}
-
-/// A chunk reader's message to the reordering coordinator: one decoded
-/// batch, or the decoded prefix of a batch whose tail failed to decode.
-enum ChunkMsg {
-    Batch(EventBatch),
-    Fail(EventBatch, SourceError),
-}
-
-/// [`check_all`] with chunk-parallel ingest of one `.rbt` file: up to
-/// `ingest_jobs` reader threads claim chunks off the trace's chunk index
-/// and decode them concurrently (sharing one mapping through the `Arc`),
-/// while the calling thread stitches their batches back into trace
-/// order, validates, and fans out through the same bounded channels and
-/// worker loop as [`check_all`] — so verdicts, counters and error
-/// semantics are bit-identical to the single-reader path.
-///
-/// The fixed-width record layout is what makes this sound: a chunk
-/// boundary can never split a record, so each reader decodes its chunk
-/// with no context from the bytes before it. Reordering is bounded: a
-/// reader stalls (cheap sleep-poll) once it runs more than a small
-/// window of chunks ahead of the coordinator, so buffered out-of-order
-/// batches stay O(readers · chunk size) however ragged the decode pace.
-///
-/// With `ingest_jobs <= 1` — or a trace too small to split — this is
-/// exactly [`check_all`] over a whole-file [`MmapSource`].
-///
-/// # Errors
-///
-/// As [`check_all`]: the first error in trace order wins, events decoded
-/// before it (and the failing batch's well-formed prefix) are fanned out
-/// first, and later chunks — even if already decoded — are discarded.
-///
-/// # Panics
-///
-/// Propagates a panic of a checker on a worker thread.
-pub fn check_all_chunked(
-    trace: &Arc<BinTrace>,
-    checkers: Vec<SendChecker>,
-    config: &ParConfig,
-    ingest_jobs: usize,
-) -> Result<ParReport, SourceError> {
-    let chunk_count = trace.chunks().len();
-    let readers = ingest_jobs.min(chunk_count);
-    if readers <= 1 {
-        return check_all(&mut MmapSource::new(Arc::clone(trace)), checkers, config);
-    }
-    if checkers.is_empty() {
-        return Ok(ParReport {
-            runs: Vec::new(),
-            events: 0,
-            summary: config.validate.then(|| Validator::new().finish()),
-            stats: ParStats::default(),
-        });
-    }
-    let workers = config.effective_jobs(checkers.len());
-    let depth = config.channel_batches.max(1);
-    // How far (in chunks) a reader may run ahead of the coordinator's
-    // consumption point: enough that no reader idles while the window
-    // holds undecoded chunks, small enough to bound reordering memory.
-    let window = readers * 2 + 2;
-
-    let mut shards: Vec<Vec<Slot>> = (0..workers).map(|_| Vec::new()).collect();
-    for (index, checker) in checkers.into_iter().enumerate() {
-        shards[index % workers].push(Slot { index, checker, violation: None });
-    }
-    // Sub-batches each chunk decodes into: the coordinator derives the
-    // exact expected (chunk, sub) sequence from the chunk index alone.
-    let subs: Vec<usize> =
-        trace.chunks().iter().map(|c| (c.events as usize).div_ceil(config.batch_events)).collect();
-
-    let mut validator = config.validate.then(Validator::new);
-    let mut stats = ParStats { workers, ingest_readers: readers, ..ParStats::default() };
-    let allocated = AtomicUsize::new(0);
-    let mut events = 0u64;
-    let mut error: Option<SourceError> = None;
-    let mut runs: Vec<(usize, CheckerRun)> = Vec::new();
-
-    let claim = AtomicUsize::new(0);
-    let consumed = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let (recycle_tx, recycle_rx) = mpsc::channel::<EventBatch>();
-    let recycle_rx = Mutex::new(recycle_rx);
-    let (data_tx, data_rx) = mpsc::sync_channel::<(usize, usize, ChunkMsg)>(readers * 2);
-    thread::scope(|s| {
-        let mut batch_txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for shard in shards {
-            let (tx, rx) = mpsc::sync_channel::<Arc<EventBatch>>(depth);
-            let recycle = recycle_tx.clone();
-            batch_txs.push(tx);
-            handles.push(s.spawn(move || worker(shard, &rx, &recycle)));
-        }
-        drop(recycle_tx);
-
-        let mut reader_handles = Vec::with_capacity(readers);
-        for _ in 0..readers {
-            let data_tx = data_tx.clone();
-            let (claim, consumed, stop) = (&claim, &consumed, &stop);
-            let (recycle_rx, allocated) = (&recycle_rx, &allocated);
-            let batch_events = config.batch_events;
-            reader_handles.push(s.spawn(move || {
-                let mut source: Option<MmapSource> = None;
-                while !stop.load(Ordering::Relaxed) {
-                    let chunk = claim.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= chunk_count {
-                        break;
-                    }
-                    // Stay within the reordering window of the
-                    // coordinator; a decode error elsewhere raises
-                    // `stop`, so this cannot spin forever.
-                    while chunk >= consumed.load(Ordering::Acquire) + window {
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        thread::sleep(Duration::from_micros(100));
-                    }
-                    let src = match &mut source {
-                        Some(src) => {
-                            src.reset_to_chunk(chunk);
-                            src
-                        }
-                        None => {
-                            source.get_or_insert(MmapSource::for_chunk(Arc::clone(trace), chunk))
-                        }
-                    };
-                    let mut sub = 0;
-                    loop {
-                        let mut batch = recycle_rx
-                            .lock()
-                            .expect("recycle receiver lock")
-                            .try_recv()
-                            .unwrap_or_else(|_| {
-                                allocated.fetch_add(1, Ordering::Relaxed);
-                                EventBatch::with_target(batch_events)
-                            });
-                        match src.next_batch(&mut batch) {
-                            Ok(0) => break,
-                            Ok(_) => {
-                                if data_tx.send((chunk, sub, ChunkMsg::Batch(batch))).is_err() {
-                                    return; // coordinator stopped early
-                                }
-                                sub += 1;
-                            }
-                            Err(e) => {
-                                // The decoded prefix rides along, exactly
-                                // as a single-reader refill would leave it.
-                                let _ = data_tx.send((chunk, sub, ChunkMsg::Fail(batch, e)));
-                                return;
-                            }
-                        }
-                    }
-                }
-            }));
-        }
-        drop(data_tx); // readers hold the only senders
-
-        let mut pending: BTreeMap<(usize, usize), ChunkMsg> = BTreeMap::new();
-        let mut next = (0usize, 0usize);
-        'consume: while next.0 < chunk_count {
-            let msg = match pending.remove(&next) {
-                Some(msg) => msg,
-                None => match data_rx.recv() {
-                    Ok((chunk, sub, msg)) if (chunk, sub) == next => msg,
-                    Ok((chunk, sub, msg)) => {
-                        pending.insert((chunk, sub), msg);
-                        continue;
-                    }
-                    // All readers gone with chunks outstanding: one of
-                    // them panicked; join below re-raises.
-                    Err(_) => break 'consume,
-                },
-            };
-            let (mut batch, fail) = match msg {
-                ChunkMsg::Batch(batch) => (batch, None),
-                ChunkMsg::Fail(batch, e) => (batch, Some(e)),
-            };
-            if let Some(v) = validator.as_mut() {
-                if let Some(e) = super::validate_batch(v, &mut batch) {
-                    // An ill-formed event inside the batch precedes a
-                    // decode failure past its end; keep the earlier one.
-                    error = Some(e.into());
-                }
-            }
-            if error.is_none() {
-                error = fail;
-            } else {
-                drop(fail);
-            }
-            events += batch.len() as u64;
-            if !batch.is_empty() {
-                stats.batches += 1;
-                // Fan-out mirrors check_all: the original Arc goes to
-                // the last worker so a worker is always the one to
-                // recycle the arena.
-                let mut shared = Some(Arc::new(batch));
-                let last = batch_txs.len() - 1;
-                let mut worker_gone = false;
-                for (i, tx) in batch_txs.iter().enumerate() {
-                    let arc = if i == last {
-                        shared.take().expect("original Arc handed out once")
-                    } else {
-                        Arc::clone(shared.as_ref().expect("original kept until last"))
-                    };
-                    worker_gone |= tx.send(arc).is_err();
-                }
-                if worker_gone {
-                    break 'consume; // a worker panicked; join re-raises
-                }
-            }
-            if error.is_some() {
-                break 'consume;
-            }
-            next.1 += 1;
-            if next.1 >= subs[next.0] {
-                next = (next.0 + 1, 0);
-                consumed.fetch_add(1, Ordering::Release);
-            }
-        }
-
-        stop.store(true, Ordering::Relaxed);
-        drop(data_rx); // unblocks any reader mid-send
-        for handle in reader_handles {
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-        drop(batch_txs); // end-of-stream for every worker
-        for handle in handles {
-            match handle.join() {
-                Ok(mut shard_runs) => runs.append(&mut shard_runs),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-
-    if let Some(e) = error {
-        return Err(e);
-    }
-    stats.batch_buffers = allocated.load(Ordering::Relaxed);
-    runs.sort_by_key(|(index, _)| *index);
     let runs = runs.into_iter().map(|(_, run)| run).collect();
     Ok(ParReport { runs, events, summary: validator.map(Validator::finish), stats })
 }

@@ -1,5 +1,5 @@
 //! Differential and acceptance tests for the binary trace format and
-//! chunk-parallel ingest (`tracelog::binfmt` + `pipeline::par`):
+//! chunk-parallel ingest (`tracelog::binfmt` + `pipeline::chunkpar`):
 //! chunked multi-reader decoding must be *bit-identical* to the
 //! single-reader mmap path and to the text `.std` path — same verdicts,
 //! same violation coordinates, same checker counters, same validator
@@ -12,7 +12,8 @@ use std::io::{BufWriter, Write as _};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use aerodrome_suite::pipeline::par::{check_all, check_all_chunked, standard_checkers, ParConfig};
+use aerodrome_suite::pipeline::chunkpar::ChunkParSource;
+use aerodrome_suite::pipeline::par::{check_all, standard_checkers, ParConfig};
 use tracelog::binfmt::{self, BinTrace, MmapSource};
 use tracelog::stream::EventSource;
 use tracelog::SourceError;
@@ -62,11 +63,12 @@ fn chunked_ingest_is_bit_identical_to_single_reader() {
         let reference = check_all(&mut single, standard_checkers(), &config).unwrap();
 
         for ingest_jobs in [2usize, 4] {
-            let report =
-                check_all_chunked(&trace, standard_checkers(), &config, ingest_jobs).unwrap();
+            let mut source =
+                ChunkParSource::new(Arc::clone(&trace), ingest_jobs, config.batch_events);
+            let report = check_all(&mut source, standard_checkers(), &config).unwrap();
             assert_eq!(report.events, reference.events, "{label}@{ingest_jobs}: events");
             assert_eq!(report.summary, reference.summary, "{label}@{ingest_jobs}: validator");
-            assert!(report.stats.ingest_readers >= 2, "{label}@{ingest_jobs}: readers");
+            assert!(source.readers() >= 2, "{label}@{ingest_jobs}: readers");
             for (run, reference_run) in report.runs.iter().zip(&reference.runs) {
                 assert_eq!(
                     run.outcome, reference_run.outcome,
@@ -99,7 +101,8 @@ fn corrupted_chunk_fails_with_record_attribution_under_every_reader_count() {
     let trace = Arc::new(BinTrace::open(&path).unwrap());
     let config = ParConfig { jobs: 2, ..ParConfig::default() };
     for ingest_jobs in [1usize, 2, 4] {
-        let err = check_all_chunked(&trace, standard_checkers(), &config, ingest_jobs)
+        let mut source = ChunkParSource::new(Arc::clone(&trace), ingest_jobs, config.batch_events);
+        let err = check_all(&mut source, standard_checkers(), &config)
             .expect_err("stomped record must fail ingest");
         let SourceError::Binary(inner) = &err else {
             panic!("@{ingest_jobs}: expected a binary decode error, got {err}");
@@ -153,7 +156,8 @@ fn five_million_event_binary_ingest_acceptance() {
     let single_wall = started.elapsed();
 
     let started = Instant::now();
-    let report = check_all_chunked(&trace, standard_checkers(), &config, jobs.max(2)).unwrap();
+    let mut source = ChunkParSource::new(Arc::clone(&trace), jobs.max(2), config.batch_events);
+    let report = check_all(&mut source, standard_checkers(), &config).unwrap();
     let chunked_wall = started.elapsed();
 
     assert_eq!(report.events, reference.events);
@@ -167,7 +171,7 @@ fn five_million_event_binary_ingest_acceptance() {
         "5M acceptance: single {:.3}s ({:.0} events/s)  chunked×{} {:.3}s ({:.0} events/s)",
         single_wall.as_secs_f64(),
         events / single_wall.as_secs_f64(),
-        report.stats.ingest_readers,
+        source.readers(),
         chunked_wall.as_secs_f64(),
         events / chunked_wall.as_secs_f64(),
     );
