@@ -78,11 +78,6 @@ fn bench_clock_core(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("cloned", name), trace, |b, trace| {
             b.iter(|| run_to_end(ClonedOptimizedChecker::new(), trace));
         });
-        // The frozen pre-refactor checker: the before-state this PR's
-        // clone-free core is measured against.
-        g.bench_with_input(BenchmarkId::new("seed", name), trace, |b, trace| {
-            b.iter(|| run_to_end(bench::seed_baseline::SeedOptimizedChecker::new(), trace));
-        });
     }
     g.finish();
 }

@@ -8,9 +8,7 @@
 //! end-to-end under `rapid compare`'s single-ingest runtime
 //! ([`par::check_all`]). Third, what does chunk-parallel ingest
 //! ([`ChunkParSource`] feeding the same runtime) add on top once the
-//! readers outnumber one. The `CRITERION_SHIM_JSON` dump of this bench is the source of
-//! `BENCH_ingest.json`, the checked-in last-known-good that the
-//! scheduled CI job diffs fresh runs against with `rapid benchdiff`.
+//! readers outnumber one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::fs::File;

@@ -13,7 +13,6 @@ use std::time::Duration;
 
 use aerodrome::optimized::OptimizedChecker;
 use aerodrome::run_checker;
-use bench::seed_baseline::SeedOptimizedChecker;
 use velodrome::VelodromeChecker;
 use workloads::{generate, GenConfig};
 
@@ -82,10 +81,9 @@ fn bench_velodrome_no_retention(c: &mut Criterion) {
 /// The extra workload shapes (contended-lock convoy, wide fork/join
 /// fan-out, long-transaction nesting): AeroDrome throughput should stay
 /// flat on all of them — the convoy stresses the lock clock, the fan-out
-/// the thread dimension, the nesting the per-transaction bookkeeping —
-/// and the pooled clock core must at least match the cloned baseline on
-/// every shape (the `cloned-seed` rows run the frozen pre-refactor
-/// clone-per-transfer-edge checker on the same traces).
+/// the thread dimension, the nesting the per-transaction bookkeeping.
+/// The pooled-vs-cloned clock-core comparison per shape lives in the
+/// `ablation_clock_core` group.
 fn bench_shape_scaling(c: &mut Criterion) {
     for name in workloads::shapes::SHAPE_NAMES {
         let mut g = c.benchmark_group(&format!("aerodrome_{name}"));
@@ -102,12 +100,6 @@ fn bench_shape_scaling(c: &mut Criterion) {
             g.bench_with_input(BenchmarkId::new("pooled", events), &trace, |b, trace| {
                 b.iter(|| {
                     let outcome = run_checker(&mut OptimizedChecker::new(), trace);
-                    assert!(!outcome.is_violation());
-                });
-            });
-            g.bench_with_input(BenchmarkId::new("cloned-seed", events), &trace, |b, trace| {
-                b.iter(|| {
-                    let outcome = run_checker(&mut SeedOptimizedChecker::new(), trace);
                     assert!(!outcome.is_violation());
                 });
             });

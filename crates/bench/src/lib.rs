@@ -12,9 +12,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod regress;
-pub mod seed_baseline;
-
 use std::time::{Duration, Instant};
 
 use aerodrome::optimized::OptimizedChecker;

@@ -172,18 +172,6 @@ pub enum Command {
         /// output.
         chunk_events: Option<u32>,
     },
-    /// `rapid benchdiff <baseline.json> <fresh.json> [--threshold PCT]`
-    /// — compare two `rapid-bench-v1` reports and fail (non-zero exit)
-    /// when any shared metric regresses beyond the noise threshold.
-    BenchDiff {
-        /// The checked-in last-known-good report.
-        baseline: String,
-        /// The freshly measured report.
-        fresh: String,
-        /// Regression tolerance in percent (default 20, the documented
-        /// noise threshold of the scheduled CI runners).
-        threshold: f64,
-    },
     /// `rapid table1 [--budget SECS]` / `rapid table2 [--budget SECS]`.
     Table {
         /// 1 or 2.
@@ -265,14 +253,11 @@ pub enum Command {
     },
     /// `rapid loadgen [--addr HOST:PORT] [--connections N]
     /// [--events-per-sec R] [--shape convoy|fanout|nesting]
-    /// [--events N] [--traces N] [--seed N] [--batch N]
-    /// [--bench-json PATH]` — the closed-loop load generator for a
-    /// running `rapid serve`.
+    /// [--events N] [--traces N] [--seed N] [--batch N]` — the
+    /// closed-loop load generator for a running `rapid serve`.
     Loadgen {
         /// Load parameters assembled from the flags.
         config: Box<serve::LoadConfig>,
-        /// Write the machine-readable `rapid-bench-v1` report here.
-        bench_json: Option<String>,
     },
     /// `rapid help`.
     Help,
@@ -425,7 +410,6 @@ USAGE:
                     [--seal-verify] [--no-validate]
     rapid validate  <trace.std> [--batch N] [--ingest-jobs N]
     rapid convert   <in> <out> [--chunk-events N]
-    rapid benchdiff <baseline.json> <fresh.json> [--threshold PCT]
     rapid generate  <out.std> [--profile NAME|convoy|fanout|nesting]
                     [--events N]
                     [--threads N] [--vars N] [--locks N] [--seed N]
@@ -447,7 +431,6 @@ USAGE:
     rapid loadgen   [--addr HOST:PORT] [--connections N]
                     [--events-per-sec R] [--shape convoy|fanout|nesting]
                     [--events N] [--traces N] [--seed N] [--batch N]
-                    [--bench-json PATH]
     rapid help
 
 Trace logs use the RAPID .std format: `<thread>|<op>|<loc>` per line with
@@ -461,10 +444,6 @@ sidecars record identical text for both encodings of a trace.
 `--ingest-jobs N` (N ≥ 2, binary input only; on `metainfo`, `validate`,
 `compare` and `aerodrome`/`check`) additionally decodes the single file
 with N chunk-parallel readers feeding the analysis.
-
-`benchdiff` guards the perf trajectory: it diffs two rapid-bench-v1
-JSON reports metric by metric (higher-better *_per_sec, lower-better
-wall_s/*_ms) and exits non-zero past `--threshold` percent regression.
 
 `--batch N` is uniform across every event-ingesting subcommand: events
 pulled per parser refill (default ~4096). It never changes verdicts,
@@ -526,8 +505,7 @@ eviction; 0 disables). `loadgen` is its closed-loop benchmark driver:
 `--events` events (shape `convoy|fanout|nesting`; every 4th trace
 carries an injected violation so pushes are exercised), optionally
 paced at `--events-per-sec` per connection, reporting throughput and
-p50/p99 verdict latency; `--bench-json` writes the `rapid-bench-v1`
-report (the BENCH_serve.json schema).
+p50/p99 verdict latency.
 
 `--jobs N` is uniform across every parallel subcommand: worker threads,
 defaulting to one per available CPU when omitted; an explicit `--jobs
@@ -716,34 +694,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                 i += 1;
             }
             Ok(Command::Convert { input, output, chunk_events })
-        }
-        "benchdiff" => {
-            let baseline = args
-                .get(1)
-                .ok_or_else(|| UsageError("benchdiff requires a baseline report path".into()))?
-                .clone();
-            let fresh = args
-                .get(2)
-                .ok_or_else(|| UsageError("benchdiff requires a fresh report path".into()))?
-                .clone();
-            let mut threshold = 20.0f64;
-            let mut i = 3;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--threshold" => {
-                        let t: f64 = num_flag(args, &mut i, "--threshold")?;
-                        if !t.is_finite() || t < 0.0 {
-                            return Err(UsageError(
-                                "--threshold must be a finite non-negative percentage".into(),
-                            ));
-                        }
-                        threshold = t;
-                    }
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::BenchDiff { baseline, fresh, threshold })
         }
         "validate" => {
             let path = args
@@ -993,7 +943,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
         "loadgen" => {
             let mut config =
                 serve::LoadConfig { addr: "127.0.0.1:7447".to_owned(), ..Default::default() };
-            let mut bench_json = None;
             let mut i = 1;
             while i < args.len() {
                 match args[i].as_str() {
@@ -1021,14 +970,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                     }
                     "--seed" => config.seed = num_flag(args, &mut i, "--seed")?,
                     "--batch" => config.batch_events = batch_flag(args, &mut i)?,
-                    "--bench-json" => {
-                        bench_json = Some(flag_value(args, &mut i, "--bench-json")?.to_owned());
-                    }
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
             }
-            Ok(Command::Loadgen { config: Box::new(config), bench_json })
+            Ok(Command::Loadgen { config: Box::new(config) })
         }
         other => Err(UsageError(format!("unknown command `{other}` (try `rapid help`)"))),
     }
@@ -1734,24 +1680,6 @@ pub fn run(command: Command) -> Result<String, String> {
                 names.vars.len()
             ))
         }
-        Command::BenchDiff { baseline, fresh, threshold } => {
-            let base_text =
-                std::fs::read_to_string(&baseline).map_err(|e| format!("{baseline}: {e}"))?;
-            let fresh_text =
-                std::fs::read_to_string(&fresh).map_err(|e| format!("{fresh}: {e}"))?;
-            let base =
-                bench::regress::parse_report(&base_text).map_err(|e| format!("{baseline}: {e}"))?;
-            let new =
-                bench::regress::parse_report(&fresh_text).map_err(|e| format!("{fresh}: {e}"))?;
-            let diff = bench::regress::compare(&base, &new, threshold);
-            let mut out = format!("benchdiff: {baseline} -> {fresh} (threshold {threshold}%)\n");
-            out.push_str(&diff.render());
-            if diff.regressed() {
-                Err(out)
-            } else {
-                Ok(out)
-            }
-        }
         Command::TwoPhase { path, phase_batch, batch, validate } => {
             let config = Config {
                 twophase_batch: phase_batch.unwrap_or(Config::DEFAULT_TWOPHASE_BATCH),
@@ -2014,16 +1942,7 @@ pub fn run(command: Command) -> Result<String, String> {
             server.run().map_err(|e| format!("{local}: {e}"))?;
             Ok(format!("rapid serve: {local} shut down\n"))
         }
-        Command::Loadgen { config, bench_json } => {
-            let report = serve::loadgen::run(&config)?;
-            let mut out = report.render();
-            if let Some(path) = bench_json {
-                let json = report.bench_json(&config);
-                std::fs::write(&path, &json).map_err(|e| format!("{path}: {e}"))?;
-                let _ = writeln!(out, "bench json: {path}");
-            }
-            Ok(out)
-        }
+        Command::Loadgen { config } => Ok(serve::loadgen::run(&config)?.render()),
         Command::Table { which, budget } => {
             let profiles = if which == 1 { workloads::table1() } else { workloads::table2() };
             let rows: Vec<_> = profiles.iter().map(|p| bench::run_profile(p, budget)).collect();
@@ -2180,26 +2099,6 @@ mod tests {
         assert!(parse_args(&args(&["convert"])).is_err());
         let err = parse_args(&args(&["convert", "a", "b", "--chunk-events", "0"])).unwrap_err();
         assert!(err.0.contains("--chunk-events must be positive"), "{err}");
-
-        assert_eq!(
-            parse_args(&args(&["benchdiff", "BENCH_ingest.json", "fresh.json"])).unwrap(),
-            Command::BenchDiff {
-                baseline: "BENCH_ingest.json".into(),
-                fresh: "fresh.json".into(),
-                threshold: 20.0
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&["benchdiff", "a.json", "b.json", "--threshold", "5"])).unwrap(),
-            Command::BenchDiff {
-                baseline: "a.json".into(),
-                fresh: "b.json".into(),
-                threshold: 5.0
-            }
-        );
-        assert!(parse_args(&args(&["benchdiff", "a.json"])).is_err());
-        assert!(parse_args(&args(&["benchdiff", "a", "b", "--threshold", "-1"])).is_err());
-        assert!(parse_args(&args(&["benchdiff", "a", "b", "--threshold", "nan"])).is_err());
     }
 
     #[test]
@@ -2257,12 +2156,14 @@ mod tests {
         assert!(parse_args(&args(&["frobnicate"])).is_err());
         assert!(parse_args(&args(&["table1", "--bogus"])).is_err());
         assert!(parse_args(&args(&["generate", "o", "--events"])).is_err());
-        // The removed per-trace sharding surface is a usage error,
-        // never silently ignored.
+        // The removed per-trace sharding and second-benchmark surfaces
+        // are usage errors, never silently ignored.
         for argv in [
             &["check", "t.rbt", "--shards", "2"][..],
             &["compare", "t.std", "--partition", "auto"],
             &["partition", "t.rbt"],
+            &["benchdiff", "a.json", "b.json"],
+            &["loadgen", "--bench-json", "x.json"],
         ] {
             let err = parse_args(&args(argv)).unwrap_err();
             assert!(err.0.starts_with("unknown"), "{argv:?}: {err}");
@@ -3015,35 +2916,6 @@ mod binfmt_cli_tests {
         assert!(text.contains("0 ingest error(s)"), "{text}");
     }
 
-    #[test]
-    fn benchdiff_end_to_end_exit_semantics() {
-        let dir = tmp_dir("benchdiff");
-        let base = format!("{dir}/base.json");
-        let fresh = format!("{dir}/fresh.json");
-        std::fs::write(
-            &base,
-            r#"{"schema":"rapid-bench-v1","bench":"ingest","entries":[
-               {"name":"ingest-1m","wall_s":1.0,"events_per_sec":1000000.0}]}"#,
-        )
-        .unwrap();
-        std::fs::write(
-            &fresh,
-            r#"{"schema":"rapid-bench-v1","bench":"ingest","entries":[
-               {"name":"ingest-1m","wall_s":1.05,"events_per_sec":950000.0}]}"#,
-        )
-        .unwrap();
-        let out = run(Command::BenchDiff {
-            baseline: base.clone(),
-            fresh: fresh.clone(),
-            threshold: 20.0,
-        })
-        .unwrap();
-        assert!(out.contains("0 regression(s)"), "{out}");
-        // The same drift past a 3 % threshold fails with a rendered diff.
-        let err = run(Command::BenchDiff { baseline: base, fresh, threshold: 3.0 }).unwrap_err();
-        assert!(err.contains("REGRESSED"), "{err}");
-    }
-
     /// Corrupted binary containers are attributed to chunk + record, the
     /// way text errors are attributed to lines.
     #[test]
@@ -3122,11 +2994,9 @@ mod serve_cli_tests {
             "7",
             "--batch",
             "1024",
-            "--bench-json",
-            "BENCH_serve.json",
         ]))
         .unwrap();
-        let Command::Loadgen { config, bench_json } = parsed else {
+        let Command::Loadgen { config } = parsed else {
             panic!("expected loadgen, got {parsed:?}")
         };
         assert_eq!(
@@ -3142,7 +3012,6 @@ mod serve_cli_tests {
                 seed: 7,
             }
         );
-        assert_eq!(bench_json.as_deref(), Some("BENCH_serve.json"));
 
         assert!(parse_args(&args(&["loadgen", "--connections", "0"])).is_err());
         assert!(parse_args(&args(&["loadgen", "--events", "0"])).is_err());

@@ -29,8 +29,7 @@
 //!   streams any `EventSource`, measures per-verdict latency
 //!   closed-loop.
 //! * [`loadgen`] — N-connection closed-loop driver ([`loadgen::run`])
-//!   reporting connections × events/s × p50/p99 verdict latency, and
-//!   the `BENCH_serve.json` emitter.
+//!   reporting connections × events/s × p50/p99 verdict latency.
 //!
 //! Verdict fidelity is the design invariant everything here preserves:
 //! a trace streamed over the socket produces **bit-identical** verdicts

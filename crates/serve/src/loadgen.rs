@@ -16,9 +16,8 @@
 //! traces (every [`VIOLATION_EVERY`]th) carries an injected conflict,
 //! so verdict *pushes* — not just summaries — are exercised and timed.
 //!
-//! The aggregated [`LoadReport`] is what lands in `BENCH_serve.json`
-//! (schema `rapid-bench-v1`, shared with the criterion shim's `--test`
-//! dump) and in `docs/PERF.md`'s service section.
+//! The aggregated [`LoadReport`] is what `rapid loadgen` prints and what
+//! `docs/PERF.md`'s service section records.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -131,52 +130,6 @@ impl LoadReport {
             );
         }
         out
-    }
-
-    /// Renders the machine-readable `BENCH_serve.json` document
-    /// (schema `rapid-bench-v1`, one entry per run).
-    #[must_use]
-    pub fn bench_json(&self, config: &LoadConfig) -> String {
-        let name = format!("serve-{}-c{}", config.shape, self.connections);
-        let mut fields = vec![
-            json_str("name", &name),
-            json_num("wall_s", self.wall.as_secs_f64()),
-            json_num("events", self.events as f64),
-            json_num("events_per_sec", self.events_per_sec),
-            json_num("p50_ms", self.p50_latency.as_secs_f64() * 1e3),
-            json_num("p99_ms", self.p99_latency.as_secs_f64() * 1e3),
-            json_num("connections", self.connections as f64),
-            json_num("traces", self.traces as f64),
-        ];
-        if let Some(s) = &self.server {
-            fields.push(json_num("retained_bytes", s.retained_bytes as f64));
-            fields.push(json_num("evictions", s.evictions as f64));
-        }
-        format!(
-            "{{\"schema\":\"rapid-bench-v1\",\"bench\":\"serve\",\"entries\":[{{{}}}]}}\n",
-            fields.join(",")
-        )
-    }
-}
-
-fn json_str(key: &str, value: &str) -> String {
-    let escaped: String = value
-        .chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect();
-    format!("\"{key}\":\"{escaped}\"")
-}
-
-fn json_num(key: &str, value: f64) -> String {
-    if value.fract() == 0.0 && value.abs() < 9e15 {
-        format!("\"{key}\":{value:.0}")
-    } else {
-        format!("\"{key}\":{value:.6}")
     }
 }
 
@@ -347,38 +300,6 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_json_schema_is_stable() {
-        let report = LoadReport {
-            connections: 16,
-            traces: 64,
-            events: 3_200_000,
-            violations: 16,
-            verdicts_before_eof: 16,
-            wall: Duration::from_millis(2500),
-            events_per_sec: 1_280_000.0,
-            p50_latency: Duration::from_micros(850),
-            p99_latency: Duration::from_millis(12),
-            server: Some(StatsFrame { sessions: 16, retained_bytes: 1 << 22, evictions: 2 }),
-        };
-        let config = LoadConfig { shape: "convoy".into(), ..LoadConfig::default() };
-        let json = report.bench_json(&config);
-        assert!(json.starts_with("{\"schema\":\"rapid-bench-v1\",\"bench\":\"serve\""));
-        for key in [
-            "name",
-            "wall_s",
-            "events_per_sec",
-            "p50_ms",
-            "p99_ms",
-            "connections",
-            "retained_bytes",
-        ] {
-            assert!(json.contains(&format!("\"{key}\":")), "missing {key}: {json}");
-        }
-        assert!(json.contains("\"serve-convoy-c16\""));
-        assert!(json.ends_with("}\n"));
-    }
 
     #[test]
     fn violation_iterations_use_the_generator() {

@@ -26,7 +26,8 @@
 use aerodrome::Violation;
 use aerodrome_suite::pipeline::{self, par::SendChecker};
 use tracelog::stream::{EventBatch, SourceNames};
-use tracelog::{wire, Interner, Validator};
+use tracelog::wire::{self, IdBounds};
+use tracelog::{Interner, Validator};
 
 use crate::protocol::{
     self, encode_error, encode_summary, encode_verdict, put_frame, ErrorCode, ErrorFrame, Kind,
@@ -230,7 +231,8 @@ impl Session {
     fn handle_events(&mut self, payload: &[u8], out: &mut Vec<u8>) -> FrameOutcome {
         self.mid_trace = true;
         self.batch.clear();
-        if let Err(e) = wire::decode_events(payload, &mut self.batch) {
+        let names = SourceNames { threads: &self.threads, locks: &self.locks, vars: &self.vars };
+        if let Err(e) = wire::decode_events_within(payload, IdBounds::of(names), &mut self.batch) {
             self.protocol_error(format!("bad EVENTS payload: {e}"), out);
             return FrameOutcome::Poisoned;
         }
@@ -463,6 +465,33 @@ mod tests {
         assert_eq!(e.code, ErrorCode::Malformed);
         assert!(e.message.contains("event 0"), "no attribution: {}", e.message);
         assert!(e.message.contains("frame 3"), "no frame attribution: {}", e.message);
+    }
+
+    #[test]
+    fn unbound_event_id_is_a_protocol_error() {
+        let mut session = Session::new(standard_checkers(), true, 512);
+        hello(&mut session);
+        let mut names = Vec::new();
+        wire::encode_name(NameKind::Thread, 0, "t1", &mut names);
+        let mut events = Vec::new();
+        wire::encode_events(
+            &[tracelog::Event::new(
+                tracelog::ThreadId::from_index(400_000_000),
+                tracelog::Op::Begin,
+            )],
+            &mut events,
+        );
+        let mut out = Vec::new();
+        session.handle_frame(Kind::Names, &names, &mut out);
+        let outcome = session.handle_frame(Kind::Events, &events, &mut out);
+        assert_eq!(outcome, FrameOutcome::Poisoned);
+        let frames = frames_of(&out);
+        let (kind, payload) = frames.last().unwrap();
+        assert_eq!(*kind, Kind::Error);
+        let e = decode_error(payload).unwrap();
+        assert_eq!(e.code, ErrorCode::Protocol);
+        assert!(e.message.contains("frame 3"), "no frame attribution: {}", e.message);
+        assert!(e.message.contains("unbound thread id 400000000"), "{}", e.message);
     }
 
     #[test]

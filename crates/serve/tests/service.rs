@@ -246,8 +246,6 @@ fn loadgen_closed_loop_smoke() {
         assert_eq!(report.violations, 4, "one injected violation per connection");
         assert!(report.verdicts_before_eof >= 1, "no verdict pushed before EOF under load");
         assert!(report.events >= 4 * 4 * 5_000 - 4 * 4 * 100, "events under-counted");
-        let json = report.bench_json(&config);
-        assert!(json.contains("\"schema\":\"rapid-bench-v1\""));
     }
     handle.shutdown();
     join.join().unwrap().unwrap();

@@ -78,7 +78,7 @@ use std::sync::Arc;
 use crate::ids::Interner;
 use crate::stream::{EventBatch, EventSource, SourceError, SourceNames, StdReader};
 use crate::trace::Event;
-use crate::wire::{self, NameKind, WireError, EVENT_RECORD_BYTES};
+use crate::wire::{self, IdBounds, NameKind, WireError, EVENT_RECORD_BYTES};
 use crate::EventId;
 
 /// The 8-byte file magic opening every `.rbt` file. Modeled on the PNG
@@ -706,7 +706,7 @@ impl EventSource for MmapSource {
             .backing
             .read(offset, EVENT_RECORD_BYTES, &mut self.scratch)
             .map_err(SourceError::Io)?;
-        match wire::decode_record(bytes) {
+        match wire::decode_record(bytes, IdBounds::of(self.trace.names())) {
             Ok(event) => {
                 self.next += 1;
                 Ok(Some(event))
@@ -733,7 +733,7 @@ impl EventSource for MmapSource {
         let offset = HEADER_BYTES as u64 + self.next * EVENT_RECORD_BYTES as u64;
         let bytes =
             self.trace.backing.read(offset, len, &mut self.scratch).map_err(SourceError::Io)?;
-        match wire::decode_events(bytes, batch) {
+        match wire::decode_events_within(bytes, IdBounds::of(self.trace.names()), batch) {
             Ok(decoded) => {
                 debug_assert_eq!(decoded, n);
                 self.next += decoded as u64;
@@ -1020,6 +1020,30 @@ mod tests {
         }
         // Errors are fatal, as in StdReader.
         assert_eq!(source.next_batch(&mut batch).unwrap(), 0);
+
+        // Ids must be below their name-table counts (2 threads, 1 lock),
+        // through both the batch and the per-event decoder: a hostile
+        // thread id, an unbound lock and an unbound fork target.
+        let record = |i: usize| HEADER_BYTES + i * EVENT_RECORD_BYTES;
+        for (at, id, expected) in [
+            (record(0) + 1, 400_000_000, "record 0 (chunk 0): unbound thread id 400000000"),
+            (record(2) + 5, 7, "record 2 (chunk 0): unbound lock id 7"),
+            (record(0) + 5, 2, "record 0 (chunk 0): unbound thread id 2"),
+        ] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&u32::to_le_bytes(id));
+            fs::write(&cut, &bad).unwrap();
+            let err = MmapSource::open(&cut).unwrap().next_batch(&mut batch).unwrap_err();
+            assert!(format!("{err}").starts_with(expected), "{err}");
+            let mut source = MmapSource::open(&cut).unwrap();
+            let err = std::iter::from_fn(|| source.next_event().transpose()).find_map(Result::err);
+            let err = err.expect("the bad record fails next_event too");
+            assert!(format!("{err}").starts_with(expected), "{err}");
+            assert!(matches!(
+                err,
+                SourceError::Binary(BinfmtError::Record { error: WireError::UnboundId { .. }, .. })
+            ));
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   a one-byte operation tag, the thread index and the operand index,
 //!   little-endian. A chunk of records decodes straight into an
 //!   [`EventBatch`] with no per-event allocation or string handling —
-//!   [`decode_events`] is a bounds check and a table lookup per event.
+//!   [`decode_events_within`] is a length check and an [`IdBounds`]
+//!   check per event, so no decoded id exceeds its name table.
 //! * **Name records** — variable-width definitions binding a dense index
 //!   to a UTF-8 name, per id space (threads, locks, variables). A client
 //!   sends each name **once**, before the first event that references
@@ -28,7 +29,7 @@
 use std::fmt;
 
 use crate::ids::{Interner, LockId, ThreadId, VarId};
-use crate::stream::EventBatch;
+use crate::stream::{EventBatch, SourceNames};
 use crate::trace::{Event, Op};
 
 /// Size of one encoded event record, in bytes: `[op u8][thread u32 LE]
@@ -62,6 +63,16 @@ pub enum WireError {
     },
     /// A name was not valid UTF-8.
     BadUtf8,
+    /// An event record referenced an id its name table does not define
+    /// (fork and join targets are thread ids).
+    UnboundId {
+        /// The id space of the offending id.
+        kind: NameKind,
+        /// The offending id.
+        id: u32,
+        /// How many names of that kind are defined.
+        defined: usize,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -77,6 +88,9 @@ impl fmt::Display for WireError {
                 "non-dense {kind} name definition: got index {index}, expected {expected}"
             ),
             Self::BadUtf8 => write!(f, "name is not valid UTF-8"),
+            Self::UnboundId { kind, id, defined } => {
+                write!(f, "unbound {kind} id {id} (only {defined} {kind} name(s) defined)")
+            }
         }
     }
 }
@@ -123,6 +137,43 @@ impl fmt::Display for NameKind {
     }
 }
 
+/// The name-table sizes decoded ids must stay below. Every index must be
+/// defined before an event references it; enforcing that where the bytes
+/// enter keeps a hostile id from sizing a checker's clocks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IdBounds {
+    threads: usize,
+    locks: usize,
+    vars: usize,
+}
+
+impl IdBounds {
+    /// Accepts every id: for replaying records this program encoded.
+    const UNBOUNDED: Self = Self { threads: usize::MAX, locks: usize::MAX, vars: usize::MAX };
+
+    /// The bounds set by the name tables defined so far.
+    #[must_use]
+    pub fn of(names: SourceNames<'_>) -> Self {
+        Self { threads: names.threads.len(), locks: names.locks.len(), vars: names.vars.len() }
+    }
+
+    /// The one id check of every decoder: `id` must be below the count
+    /// of defined `kind` names.
+    fn check(self, kind: NameKind, id: u32) -> Result<usize, WireError> {
+        let defined = match kind {
+            NameKind::Thread => self.threads,
+            NameKind::Lock => self.locks,
+            NameKind::Var => self.vars,
+        };
+        let index = id as usize;
+        if index < defined {
+            Ok(index)
+        } else {
+            Err(WireError::UnboundId { kind, id, defined })
+        }
+    }
+}
+
 /// Operation tags. Stable protocol constants — append-only.
 const OP_READ: u8 = 0;
 const OP_WRITE: u8 = 1;
@@ -146,15 +197,17 @@ fn op_parts(op: Op) -> (u8, u32) {
     }
 }
 
-fn op_from_parts(tag: u8, arg: u32) -> Result<Op, WireError> {
-    let arg = arg as usize;
+fn op_from_parts(tag: u8, arg: u32, bounds: IdBounds) -> Result<Op, WireError> {
+    let var = || bounds.check(NameKind::Var, arg).map(VarId::from_index);
+    let lock = || bounds.check(NameKind::Lock, arg).map(LockId::from_index);
+    let thread = || bounds.check(NameKind::Thread, arg).map(ThreadId::from_index);
     Ok(match tag {
-        OP_READ => Op::Read(VarId::from_index(arg)),
-        OP_WRITE => Op::Write(VarId::from_index(arg)),
-        OP_ACQUIRE => Op::Acquire(LockId::from_index(arg)),
-        OP_RELEASE => Op::Release(LockId::from_index(arg)),
-        OP_FORK => Op::Fork(ThreadId::from_index(arg)),
-        OP_JOIN => Op::Join(ThreadId::from_index(arg)),
+        OP_READ => Op::Read(var()?),
+        OP_WRITE => Op::Write(var()?),
+        OP_ACQUIRE => Op::Acquire(lock()?),
+        OP_RELEASE => Op::Release(lock()?),
+        OP_FORK => Op::Fork(thread()?),
+        OP_JOIN => Op::Join(thread()?),
         OP_BEGIN => Op::Begin,
         OP_END => Op::End,
         other => return Err(WireError::BadOpTag(other)),
@@ -178,6 +231,16 @@ pub fn encode_events(events: &[Event], out: &mut Vec<u8>) {
     }
 }
 
+/// Decodes a chunk of event records this program encoded, without id
+/// bounds; untrusted bytes go through [`decode_events_within`].
+///
+/// # Errors
+///
+/// As [`decode_events_within`], minus [`WireError::UnboundId`].
+pub fn decode_events(payload: &[u8], batch: &mut EventBatch) -> Result<usize, WireError> {
+    decode_events_within(payload, IdBounds::UNBOUNDED, batch)
+}
+
 /// Decodes a chunk of event records, **appending** to `batch` (the
 /// caller clears it; the service appends a socket read's worth of frames
 /// into one batch before feeding the checkers). Returns the number of
@@ -186,30 +249,36 @@ pub fn encode_events(events: &[Event], out: &mut Vec<u8>) {
 /// # Errors
 ///
 /// [`WireError::Truncated`] if `payload` is not a whole number of
-/// records; [`WireError::BadOpTag`] on an unknown tag. On error the
+/// records; [`WireError::BadOpTag`] on an unknown tag;
+/// [`WireError::UnboundId`] on an id outside `bounds`. On error the
 /// batch keeps the records decoded before the failure — callers
 /// poisoning a session on error must not feed that prefix.
-pub fn decode_events(payload: &[u8], batch: &mut EventBatch) -> Result<usize, WireError> {
+pub fn decode_events_within(
+    payload: &[u8],
+    bounds: IdBounds,
+    batch: &mut EventBatch,
+) -> Result<usize, WireError> {
     if !payload.len().is_multiple_of(EVENT_RECORD_BYTES) {
         return Err(WireError::Truncated { what: "event", at: payload.len() % EVENT_RECORD_BYTES });
     }
     let n = payload.len() / EVENT_RECORD_BYTES;
     for record in payload.chunks_exact(EVENT_RECORD_BYTES) {
-        batch.push(decode_record(record)?);
+        batch.push(decode_record(record, bounds)?);
     }
     Ok(n)
 }
 
 /// Decodes exactly one [`EVENT_RECORD_BYTES`]-byte event record. Shared
-/// by [`decode_events`] and the `binfmt` on-disk reader, so the two
-/// decoders cannot drift.
-pub(crate) fn decode_record(record: &[u8]) -> Result<Event, WireError> {
+/// by [`decode_events_within`] and the `binfmt` on-disk reader, so the
+/// two decoders cannot drift.
+pub(crate) fn decode_record(record: &[u8], bounds: IdBounds) -> Result<Event, WireError> {
     debug_assert_eq!(record.len(), EVENT_RECORD_BYTES, "callers slice whole records");
     let tag = record[0];
     let thread = u32::from_le_bytes(record[1..5].try_into().expect("4-byte slice"));
     let arg = u32::from_le_bytes(record[5..9].try_into().expect("4-byte slice"));
-    let op = op_from_parts(tag, arg)?;
-    Ok(Event::new(ThreadId::from_index(thread as usize), op))
+    let thread = bounds.check(NameKind::Thread, thread)?;
+    let op = op_from_parts(tag, arg, bounds)?;
+    Ok(Event::new(ThreadId::from_index(thread), op))
 }
 
 /// Appends one encoded name record to `out`: `[kind u8][index u32 LE]

@@ -3,7 +3,6 @@
 
 use aerodrome::optimized::{ClonedOptimizedChecker, OptimizedChecker};
 use aerodrome::run_checker;
-use bench::seed_baseline::SeedOptimizedChecker;
 use workloads::GenConfig;
 
 fn main() {
@@ -23,7 +22,6 @@ fn main() {
     for _ in 0..reps {
         let outcome = match core.as_str() {
             "cloned" => run_checker(&mut ClonedOptimizedChecker::new(), &trace),
-            "seed" => run_checker(&mut SeedOptimizedChecker::new(), &trace),
             _ => run_checker(&mut OptimizedChecker::new(), &trace),
         };
         assert!(!outcome.is_violation());

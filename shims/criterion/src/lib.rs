@@ -14,23 +14,11 @@
 //! confidence interval, the minimum, and the throughput (when configured)
 //! are printed in a Criterion-like format. There are no plots or saved
 //! baselines.
-//!
-//! **Machine-readable output.** When `CRITERION_SHIM_JSON=<path>` is set
-//! (typically together with `--test` in CI), every reported benchmark is
-//! also appended to a `rapid-bench-v1` JSON document at `<path>` — the
-//! same schema `rapid loadgen --bench-json` emits, so one consumer reads
-//! both service and micro benchmarks. The file is rewritten after each
-//! report, so even an interrupted run leaves a valid document.
 
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Rendered JSON entry objects accumulated for `CRITERION_SHIM_JSON`
-/// over the life of the bench binary (groups report one at a time).
-static JSON_ENTRIES: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
 pub use std::hint::black_box;
 
@@ -58,7 +46,6 @@ impl Criterion {
         let test_mode = self.test_mode;
         BenchmarkGroup {
             _criterion: self,
-            name: name.to_owned(),
             measurement_time: Duration::from_secs(3),
             sample_size: 10,
             throughput: None,
@@ -81,7 +68,6 @@ impl Criterion {
 /// A group of benchmarks sharing sample/measurement configuration.
 pub struct BenchmarkGroup<'a> {
     _criterion: &'a mut Criterion,
-    name: String,
     measurement_time: Duration,
     sample_size: usize,
     throughput: Option<Throughput>,
@@ -168,10 +154,6 @@ impl BenchmarkGroup<'_> {
                     let per_sec = count as f64 / (stats.mean_ns / 1e9);
                     let _ = write!(line, "  {per_sec:>12.0} {unit}");
                 }
-                if let Ok(path) = std::env::var("CRITERION_SHIM_JSON") {
-                    let qualified = format!("{}/{}", self.name, id.0);
-                    dump_json(&path, json_entry(&qualified, &stats, self.throughput.as_ref()));
-                }
             }
         }
         println!("{line}");
@@ -232,75 +214,6 @@ fn summarize(samples_ns: &[f64]) -> Option<Stats> {
         min_ns: kept[0],
         ci95_ns: ci95,
     })
-}
-
-/// One `rapid-bench-v1` entry for a reported benchmark: the name, the
-/// kept-mean per-iteration wall time, the per-iteration work and derived
-/// rate when a throughput was configured, and the sampling metadata
-/// (sample/outlier counts and the relative 95 % CI half-width — unitless
-/// keys, so `rapid benchdiff` treats them as informational rather than
-/// gating on measurement noise).
-fn json_entry(name: &str, stats: &Stats, throughput: Option<&Throughput>) -> String {
-    let escaped: String = name
-        .chars()
-        .flat_map(|c| if matches!(c, '"' | '\\') { vec!['\\', c] } else { vec![c] })
-        .collect();
-    let mut fields =
-        vec![format!("\"name\":\"{escaped}\""), format!("\"wall_s\":{:.9}", stats.mean_ns / 1e9)];
-    match throughput {
-        Some(Throughput::Elements(n)) => {
-            fields.push(format!("\"events\":{n}"));
-            fields.push(format!("\"events_per_sec\":{:.6}", *n as f64 / (stats.mean_ns / 1e9)));
-        }
-        Some(Throughput::Bytes(n)) => {
-            fields.push(format!("\"bytes\":{n}"));
-            fields.push(format!("\"bytes_per_sec\":{:.6}", *n as f64 / (stats.mean_ns / 1e9)));
-        }
-        None => {}
-    }
-    fields.push(format!("\"samples\":{}", stats.samples));
-    fields.push(format!("\"outliers\":{}", stats.outliers));
-    let ci95_rel = if stats.mean_ns > 0.0 { stats.ci95_ns / stats.mean_ns } else { 0.0 };
-    fields.push(format!("\"ci95_rel\":{ci95_rel:.6}"));
-    format!("{{{}}}", fields.join(","))
-}
-
-/// The full `rapid-bench-v1` document for this bench binary.
-fn json_doc(bench: &str, entries: &[String]) -> String {
-    format!(
-        "{{\"schema\":\"rapid-bench-v1\",\"bench\":\"{bench}\",\"entries\":[{}]}}\n",
-        entries.join(",")
-    )
-}
-
-/// The bench name recorded in the document: the binary's file stem with
-/// cargo's trailing `-<hash>` stripped (`check-1a2b3c` → `check`).
-fn bench_name() -> String {
-    let arg0 = std::env::args().next().unwrap_or_default();
-    let stem = std::path::Path::new(&arg0)
-        .file_stem()
-        .map_or_else(String::new, |s| s.to_string_lossy().into_owned());
-    match stem.rsplit_once('-') {
-        Some((name, hash))
-            if !name.is_empty()
-                && hash.len() == 16
-                && hash.bytes().all(|b| b.is_ascii_hexdigit()) =>
-        {
-            name.to_owned()
-        }
-        _ => stem,
-    }
-}
-
-/// Appends `entry` to the accumulated set and rewrites the document —
-/// after every report, so interrupted runs still leave valid JSON.
-fn dump_json(path: &str, entry: String) {
-    let mut entries = JSON_ENTRIES.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    entries.push(entry);
-    let doc = json_doc(&bench_name(), &entries);
-    if let Err(e) = std::fs::write(path, doc) {
-        eprintln!("criterion shim: CRITERION_SHIM_JSON={path}: {e}");
-    }
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -434,38 +347,6 @@ mod tests {
         assert!(calls >= 2, "warm-up plus at least one sample");
     }
 
-    fn exact_stats(mean_ns: f64) -> Stats {
-        Stats { samples: 12, outliers: 1, mean_ns, min_ns: mean_ns * 0.9, ci95_ns: mean_ns * 0.05 }
-    }
-
-    #[test]
-    fn json_entry_matches_the_rapid_bench_schema() {
-        // 2ms per iteration over 1000 elements → 500k events/s. The
-        // sampling metadata rides along under unitless keys, a
-        // schema-compatible rapid-bench-v1 extension.
-        let entry =
-            json_entry("convoy/1000", &exact_stats(2_000_000.0), Some(&Throughput::Elements(1000)));
-        assert_eq!(
-            entry,
-            "{\"name\":\"convoy/1000\",\"wall_s\":0.002000000,\
-             \"events\":1000,\"events_per_sec\":500000.000000,\
-             \"samples\":12,\"outliers\":1,\"ci95_rel\":0.050000}"
-        );
-
-        let bytes = json_entry("copy", &exact_stats(1e9), Some(&Throughput::Bytes(4096)));
-        assert!(bytes.contains("\"bytes\":4096"), "{bytes}");
-        assert!(bytes.contains("\"bytes_per_sec\":4096.000000"), "{bytes}");
-
-        let bare = json_entry("quoted \"name\"", &exact_stats(5e8), None);
-        assert!(bare.starts_with("{\"name\":\"quoted \\\"name\\\"\",\"wall_s\":0.500000000,"));
-        assert!(bare.contains("\"samples\":12,\"outliers\":1"), "{bare}");
-
-        let doc = json_doc("check", &[entry.clone(), bare.clone()]);
-        assert!(doc.starts_with("{\"schema\":\"rapid-bench-v1\",\"bench\":\"check\",\"entries\":["));
-        assert!(doc.ends_with("]}\n"), "{doc}");
-        assert!(doc.contains(&entry) && doc.contains(&bare), "{doc}");
-    }
-
     #[test]
     fn summarize_rejects_outliers_and_reports_a_confidence_interval() {
         // Ten tight samples around 100ns plus one wild 10µs outlier: the
@@ -486,28 +367,5 @@ mod tests {
         assert_eq!((one.samples, one.outliers), (1, 0));
         assert!((one.mean_ns - 42.0).abs() < f64::EPSILON);
         assert!(one.ci95_ns.abs() < f64::EPSILON, "single sample has no CI");
-    }
-
-    #[test]
-    fn bench_name_strips_cargo_hash_suffixes() {
-        // `bench_name` reads argv0, which under `cargo test` is the test
-        // binary itself — exercise the stripping rule directly instead.
-        let strip = |stem: &str| -> String {
-            match stem.rsplit_once('-') {
-                Some((name, hash))
-                    if !name.is_empty()
-                        && hash.len() == 16
-                        && hash.bytes().all(|b| b.is_ascii_hexdigit()) =>
-                {
-                    name.to_owned()
-                }
-                _ => stem.to_owned(),
-            }
-        };
-        assert_eq!(strip("check-1a2b3c4d5e6f7a8b"), "check");
-        assert_eq!(strip("multi-trace-0123456789abcdef"), "multi-trace");
-        assert_eq!(strip("check"), "check");
-        assert_eq!(strip("serve-smoke"), "serve-smoke");
-        assert!(!bench_name().is_empty(), "argv0 always has a stem");
     }
 }

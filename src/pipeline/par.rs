@@ -15,9 +15,9 @@
 //!   [`vc::ClockPool`] — so no clock state is ever shared across
 //!   threads and the zero-allocation steady state survives intact;
 //! * batches flow through bounded [`std::sync::mpsc`] channels
-//!   (depth [`ParConfig::channel_batches`]) as [`Arc`]s; the last
+//!   (depth [`CHANNEL_BATCHES`]) as [`Arc`]s; the last
 //!   worker to finish with a batch recycles its arena back to the
-//!   ingest thread. Total buffers are bounded by `channel_batches + 2`
+//!   ingest thread. Total buffers are bounded by `CHANNEL_BATCHES + 2`
 //!   regardless of how slow a worker is — backpressure, not buffering.
 //!
 //! Every checker sees every event in trace order, so verdicts and
@@ -61,6 +61,10 @@ use velodrome::VelodromeChecker;
 /// A checker that can be moved onto a worker thread.
 pub type SendChecker = Box<dyn Checker + Send>;
 
+/// Bounded channel depth, in batches, per worker: how far ingest may run
+/// ahead of the slowest worker.
+pub const CHANNEL_BATCHES: usize = 2;
+
 /// Tuning knobs of the parallel runtime. The defaults are right for
 /// "check one big trace under all variants on a multicore box"; the
 /// benches sweep `batch_events` (see docs/PERF.md).
@@ -73,9 +77,6 @@ pub struct ParConfig {
     /// Events per [`EventBatch`] refill (default
     /// [`DEFAULT_BATCH_EVENTS`]).
     pub batch_events: usize,
-    /// Bounded channel depth, in batches, per worker (default 2). This
-    /// bounds how far ingest may run ahead of the slowest worker.
-    pub channel_batches: usize,
     /// Run the online well-formedness validator on the ingest thread
     /// (default `true`, matching [`super::Pipeline`]).
     pub validate: bool,
@@ -83,7 +84,7 @@ pub struct ParConfig {
 
 impl Default for ParConfig {
     fn default() -> Self {
-        Self { jobs: 0, batch_events: DEFAULT_BATCH_EVENTS, channel_batches: 2, validate: true }
+        Self { jobs: 0, batch_events: DEFAULT_BATCH_EVENTS, validate: true }
     }
 }
 
@@ -104,13 +105,6 @@ impl ParConfig {
     pub fn batch_events(mut self, events: usize) -> Self {
         assert!(events > 0, "batch size must be positive");
         self.batch_events = events;
-        self
-    }
-
-    /// Sets the per-worker channel depth in batches (minimum 1).
-    #[must_use]
-    pub fn channel_batches(mut self, batches: usize) -> Self {
-        self.channel_batches = batches.max(1);
         self
     }
 
@@ -162,7 +156,7 @@ pub struct ParStats {
     /// Batches fanned out to the workers.
     pub batches: u64,
     /// Distinct [`EventBatch`] arenas allocated over the whole run.
-    /// Bounded by `channel_batches + 2` no matter how slow a worker is —
+    /// Bounded by `CHANNEL_BATCHES + 2` no matter how slow a worker is —
     /// the backpressure invariant asserted in the tests.
     pub batch_buffers: usize,
 }
@@ -201,12 +195,13 @@ pub fn standard_checkers() -> Vec<SendChecker> {
     ]
 }
 
-/// A worker's share of the panel: each checker is owned outright,
-/// stopped individually at its first violation.
-struct Slot {
-    index: usize,
-    checker: SendChecker,
-    violation: Option<Violation>,
+/// A worker's share of the panel: its checkers, owned outright, and
+/// their violation slots, beside each checker's index in the input panel.
+#[derive(Default)]
+struct Shard {
+    indices: Vec<usize>,
+    checkers: Vec<SendChecker>,
+    violations: Vec<Option<Violation>>,
 }
 
 /// Runs every checker over one ingest pass of `source`, in parallel.
@@ -244,17 +239,19 @@ pub fn check_all<S: EventSource + ?Sized>(
         });
     }
     let workers = config.effective_jobs(checkers.len());
-    let depth = config.channel_batches.max(1);
-    // One batch being filled + up to `depth` queued + one in a worker's
-    // hands: the whole run never needs more arenas than this, however
-    // slow the slowest worker is (fan-out shares one Arc per batch, so
-    // the slowest worker's channel is the global bound).
-    let buffer_cap = depth + 2;
+    // One batch being filled + up to `CHANNEL_BATCHES` queued + one in a
+    // worker's hands: the whole run never needs more arenas than this,
+    // however slow the slowest worker is (fan-out shares one Arc per
+    // batch, so the slowest worker's channel is the global bound).
+    let buffer_cap = CHANNEL_BATCHES + 2;
 
     // Round-robin the panel over the workers, remembering input order.
-    let mut shards: Vec<Vec<Slot>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut shards: Vec<Shard> = (0..workers).map(|_| Shard::default()).collect();
     for (index, checker) in checkers.into_iter().enumerate() {
-        shards[index % workers].push(Slot { index, checker, violation: None });
+        let shard = &mut shards[index % workers];
+        shard.indices.push(index);
+        shard.checkers.push(checker);
+        shard.violations.push(None);
     }
 
     let mut validator = config.validate.then(Validator::new);
@@ -268,7 +265,7 @@ pub fn check_all<S: EventSource + ?Sized>(
         let mut batch_txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for shard in shards {
-            let (tx, rx) = mpsc::sync_channel::<Arc<EventBatch>>(depth);
+            let (tx, rx) = mpsc::sync_channel::<Arc<EventBatch>>(CHANNEL_BATCHES);
             let recycle = recycle_tx.clone();
             batch_txs.push(tx);
             handles.push(s.spawn(move || worker(shard, &rx, &recycle)));
@@ -385,37 +382,29 @@ pub fn check_all<S: EventSource + ?Sized>(
 /// Drains one worker's channel, feeding every batch to the worker's
 /// checkers and recycling the arena when this worker is the last holder.
 fn worker(
-    mut shard: Vec<Slot>,
+    mut shard: Shard,
     rx: &Receiver<Arc<EventBatch>>,
     recycle: &Sender<EventBatch>,
 ) -> Vec<(usize, CheckerRun)> {
     for batch in rx.iter() {
-        for slot in &mut shard {
-            if slot.violation.is_some() {
-                continue; // stopped: standalone runs stop here too
-            }
-            for &event in batch.events() {
-                if let Err(v) = slot.checker.process(event) {
-                    slot.violation = Some(v);
-                    break;
-                }
-            }
-        }
+        super::feed_panel(&mut shard.checkers, &mut shard.violations, &batch, |_, _| {});
         if let Some(arena) = Arc::into_inner(batch) {
             // Last holder: hand the arena back for the next refill. The
             // ingest side may already be gone on early exit; that's fine.
             let _ = recycle.send(arena);
         }
     }
-    shard
+    let Shard { indices, checkers, violations } = shard;
+    indices
         .into_iter()
-        .map(|slot| {
+        .zip(checkers.into_iter().zip(violations))
+        .map(|(index, (checker, violation))| {
             let run = CheckerRun {
-                name: slot.checker.name(),
-                outcome: slot.violation.map_or(Outcome::Serializable, Outcome::Violation),
-                report: slot.checker.report(),
+                name: checker.name(),
+                outcome: violation.map_or(Outcome::Serializable, Outcome::Violation),
+                report: checker.report(),
             };
-            (slot.index, run)
+            (index, run)
         })
         .collect()
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aerodrome::CheckerReport;
-use aerodrome_suite::pipeline::par::{check_all, standard_checkers, ParConfig, SendChecker};
+use aerodrome_suite::pipeline::par::{self, check_all, standard_checkers, ParConfig, SendChecker};
 use aerodrome_suite::prelude::*;
 use workloads::shapes;
 
@@ -145,12 +145,12 @@ fn slow_worker_never_grows_memory() {
         Box::new(SlowChecker { inner: Box::new(BasicChecker::new()), stall_every: 512 }),
         Box::new(ReadOptChecker::new()),
     ];
-    let config = ParConfig::default().jobs(3).batch_events(256).channel_batches(2);
+    let config = ParConfig::default().jobs(3).batch_events(256);
     let mut source = GenSource::new(&cfg);
     let report = check_all(&mut source, checkers, &config).unwrap();
     assert!(report.stats.batches > 100, "enough batches to make buffering observable");
     assert!(
-        report.stats.batch_buffers <= config.channel_batches + 2,
+        report.stats.batch_buffers <= par::CHANNEL_BATCHES + 2,
         "bounded channels must bound the arena pool: {:?}",
         report.stats
     );
