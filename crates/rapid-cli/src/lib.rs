@@ -52,8 +52,7 @@ pub enum Command {
         ingest_jobs: usize,
     },
     /// `rapid aerodrome <trace.std> [--algorithm basic|readopt|optimized]
-    /// [--ingest-jobs N] [--batch N] [--no-validate]`
-    /// (alias: `rapid check`).
+    /// [--batch N] [--no-validate]` (alias: `rapid check`).
     Aerodrome {
         /// Path of the trace log.
         path: String,
@@ -63,9 +62,6 @@ pub enum Command {
         validate: bool,
         /// Events per ingest batch; `None` uses the default (~4096).
         batch: Option<usize>,
-        /// Reader threads decoding chunks of a binary trace (default 1:
-        /// the caller thread ingests alone).
-        ingest_jobs: usize,
     },
     /// `rapid velodrome <trace.std> [--no-gc] [--pearce-kelly]
     /// [--batch N] [--no-validate]`.
@@ -399,7 +395,6 @@ rapid — atomicity checking on trace logs (AeroDrome reproduction)
 USAGE:
     rapid metainfo  <trace.std> [--batch N] [--ingest-jobs N]
     rapid aerodrome <trace.std> [--algorithm basic|readopt|optimized]
-                    [--ingest-jobs N]
                     [--batch N] [--no-validate]   (alias: rapid check)
     rapid velodrome <trace.std> [--no-gc] [--pearce-kelly]
                     [--batch N] [--no-validate]
@@ -441,9 +436,9 @@ accepts either encoding, sniffed by file magic (the extension is only a
 convention); `rapid convert` transcodes between them both ways, and the
 `.std` -> `.rbt` -> `.std` round-trip is byte-exact. `.expect` seal
 sidecars record identical text for both encodings of a trace.
-`--ingest-jobs N` (N ≥ 2, binary input only; on `metainfo`, `validate`,
-`compare` and `aerodrome`/`check`) additionally decodes the single file
-with N chunk-parallel readers feeding the analysis.
+`--ingest-jobs N` (N ≥ 2, binary input only; on `metainfo`, `validate`
+and `compare`) additionally decodes the single file with N
+chunk-parallel readers feeding the analysis.
 
 `--batch N` is uniform across every event-ingesting subcommand: events
 pulled per parser refill (default ~4096). It never changes verdicts,
@@ -603,7 +598,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
             let mut algorithm = Algorithm::default();
             let mut validate = true;
             let mut batch = None;
-            let mut ingest_jobs = 1usize;
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
@@ -617,14 +611,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                             }
                         };
                     }
-                    "--ingest-jobs" => ingest_jobs = positive_flag(args, &mut i, "--ingest-jobs")?,
                     "--batch" => batch = Some(batch_flag(args, &mut i)?),
                     "--no-validate" => validate = false,
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
             }
-            Ok(Command::Aerodrome { path, algorithm, validate, batch, ingest_jobs })
+            Ok(Command::Aerodrome { path, algorithm, validate, batch })
         }
         "velodrome" => {
             let path = args
@@ -1244,13 +1237,11 @@ pub fn run(command: Command) -> Result<String, String> {
             }
             Ok(out)
         }
-        Command::Aerodrome { path, algorithm, validate, batch, ingest_jobs } => {
-            // Chunk-parallel single-file decode (binary input only),
-            // feeding the one sequential checker.
-            let batch_events = batch.unwrap_or(DEFAULT_BATCH_EVENTS);
-            let (source, readers) = open_ingest(&path, ingest_jobs, batch_events)?;
-            let mut pipeline = Pipeline::new(source).validate(validate).batch_events(batch_events);
-            let (name, mut checker): (_, Box<dyn Checker>) = match algorithm {
+        Command::Aerodrome { path, algorithm, validate, batch } => {
+            let mut pipeline = Pipeline::new(open_source(&path)?)
+                .validate(validate)
+                .batch_events(batch.unwrap_or(DEFAULT_BATCH_EVENTS));
+            let (name, mut checker): (_, SendChecker) = match algorithm {
                 Algorithm::Basic => ("aerodrome (Algorithm 1)", Box::new(BasicChecker::new())),
                 Algorithm::ReadOpt => ("aerodrome (Algorithm 2)", Box::new(ReadOptChecker::new())),
                 Algorithm::Optimized => {
@@ -1278,9 +1269,6 @@ pub fn run(command: Command) -> Result<String, String> {
                 cr.clocks.cow_copies,
                 cr.clocks.shares
             );
-            if readers > 0 {
-                let _ = writeln!(out, "chunk-parallel ingest: {readers} readers");
-            }
             Ok(out)
         }
         Command::Velodrome { path, config, validate, batch } => {
@@ -1997,7 +1985,6 @@ mod tests {
                 algorithm: Algorithm::Basic,
                 validate: true,
                 batch: None,
-                ingest_jobs: 1
             }
         );
         assert!(parse_args(&args(&["aerodrome", "t.std", "--algorithm", "bogus"])).is_err());
@@ -2009,7 +1996,6 @@ mod tests {
                 algorithm: Algorithm::Optimized,
                 validate: true,
                 batch: None,
-                ingest_jobs: 1
             }
         );
         // `check` is an alias, and `--no-validate` opts out of the
@@ -2022,7 +2008,6 @@ mod tests {
                 algorithm: Algorithm::Optimized,
                 validate: false,
                 batch: None,
-                ingest_jobs: 1
             }
         );
     }
@@ -2118,17 +2103,6 @@ mod tests {
 
         // `--ingest-jobs` parses on every chunk-parallel subcommand.
         assert_eq!(
-            parse_args(&args(&["check", "t.rbt", "--algorithm", "basic", "--ingest-jobs", "2"]))
-                .unwrap(),
-            Command::Aerodrome {
-                path: "t.rbt".into(),
-                algorithm: Algorithm::Basic,
-                validate: true,
-                batch: None,
-                ingest_jobs: 2
-            }
-        );
-        assert_eq!(
             parse_args(&args(&["metainfo", "t.rbt", "--ingest-jobs", "3"])).unwrap(),
             Command::MetaInfo { path: "t.rbt".into(), batch: None, ingest_jobs: 3 }
         );
@@ -2156,10 +2130,12 @@ mod tests {
         assert!(parse_args(&args(&["frobnicate"])).is_err());
         assert!(parse_args(&args(&["table1", "--bogus"])).is_err());
         assert!(parse_args(&args(&["generate", "o", "--events"])).is_err());
-        // The removed per-trace sharding and second-benchmark surfaces
-        // are usage errors, never silently ignored.
+        // The removed per-trace sharding, second-benchmark and
+        // chunk-parallel `check` surfaces are usage errors, never
+        // silently ignored.
         for argv in [
             &["check", "t.rbt", "--shards", "2"][..],
+            &["check", "t.rbt", "--ingest-jobs", "2"],
             &["compare", "t.std", "--partition", "auto"],
             &["partition", "t.rbt"],
             &["benchdiff", "a.json", "b.json"],
@@ -2203,7 +2179,6 @@ mod tests {
                 algorithm,
                 validate: true,
                 batch: None,
-                ingest_jobs: 1,
             })
             .unwrap();
             assert!(report.contains('✗'), "expected violation: {report}");
@@ -2386,7 +2361,6 @@ mod twophase_causal_tests {
             algorithm: Algorithm::Optimized,
             validate: true,
             batch: None,
-            ingest_jobs: 1,
         })
         .unwrap_err();
         assert!(err.contains("not well-formed"), "{err}");
@@ -2400,7 +2374,6 @@ mod twophase_causal_tests {
             algorithm: Algorithm::Optimized,
             validate: false,
             batch: None,
-            ingest_jobs: 1,
         })
         .unwrap();
         assert!(out.contains("analysis:"), "{out}");
@@ -2431,7 +2404,6 @@ mod twophase_causal_tests {
                 algorithm: Algorithm::Optimized,
                 validate: true,
                 batch: None,
-                ingest_jobs: 1,
             })
             .unwrap();
             assert!(report.contains('✓'), "{name} shapes are serializable: {report}");
@@ -2673,7 +2645,6 @@ mod binfmt_cli_tests {
                 algorithm: Algorithm::Optimized,
                 validate: true,
                 batch: None,
-                ingest_jobs: 1,
             })
             .unwrap();
             assert!(out.contains('✗'), "{path}: {out}");
@@ -2756,43 +2727,8 @@ mod binfmt_cli_tests {
             algorithm: Algorithm::Optimized,
             validate: true,
             batch: None,
-            ingest_jobs: 1,
         })
         .unwrap();
-    }
-
-    #[test]
-    fn check_ingest_jobs_decodes_chunk_parallel_with_identical_verdict() {
-        let dir = tmp_dir("check-ingest");
-        let std_path = generate_std(&dir, "t.std", 2_000);
-        let rbt_path = format!("{dir}/t.rbt");
-        convert(&std_path, &rbt_path);
-        let check = |path: &str, ingest_jobs: usize| {
-            run(Command::Aerodrome {
-                path: path.to_owned(),
-                algorithm: Algorithm::Optimized,
-                validate: true,
-                batch: Some(100),
-                ingest_jobs,
-            })
-            .unwrap()
-        };
-        let reference = check(&std_path, 1);
-        let parallel = check(&rbt_path, 3);
-        let verdict =
-            |out: &str| out.lines().find(|l| l.starts_with("verdict:")).map(str::to_owned);
-        assert_eq!(verdict(&parallel), verdict(&reference), "{parallel}\nvs\n{reference}");
-        assert!(parallel.contains("chunk-parallel ingest"), "{parallel}");
-        // Text input with ingest_jobs > 1 gets the same guidance as compare.
-        let err = run(Command::Aerodrome {
-            path: std_path,
-            algorithm: Algorithm::Optimized,
-            validate: true,
-            batch: None,
-            ingest_jobs: 2,
-        })
-        .unwrap_err();
-        assert!(err.contains("rapid convert"), "{err}");
     }
 
     #[test]

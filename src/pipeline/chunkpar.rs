@@ -6,8 +6,8 @@
 //! through the `Arc`), restitches their batches into trace order, and
 //! *presents* the result as a plain [`EventSource`]. Any consumer — a
 //! single-checker [`super::Pipeline`], the [`super::par::check_all`]
-//! fan-out, `rapid metainfo`/`validate`/`check`/`compare --ingest-jobs
-//! N` — gets parallel decode without knowing about chunks at all, with
+//! fan-out, `rapid metainfo`/`validate`/`compare --ingest-jobs N` —
+//! gets parallel decode without knowing about chunks at all, with
 //! verdicts, counters and error attribution identical to a single
 //! [`MmapSource`] over the same file.
 //!
@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -222,14 +222,18 @@ fn reader(
         loop {
             // A recycled arena's target sets the refill size, so only
             // arenas of this source's size keep the sub-batch sequence
-            // the consumer expects.
-            let mut batch = recycle_rx
+            // the consumer expects. The guard drops with this statement,
+            // before the allocation below can panic; a lock poisoned by a
+            // sibling's panic is recovered (the receiver guards no
+            // invariant), so it cannot mask that panic with a
+            // `PoisonError`.
+            let recycled = recycle_rx
                 .lock()
-                .expect("recycle receiver lock")
+                .unwrap_or_else(PoisonError::into_inner)
                 .try_recv()
                 .ok()
-                .filter(|b| b.target() == batch_events)
-                .unwrap_or_else(|| EventBatch::with_target(batch_events));
+                .filter(|b| b.target() == batch_events);
+            let mut batch = recycled.unwrap_or_else(|| EventBatch::with_target(batch_events));
             match src.next_batch(&mut batch) {
                 Ok(0) => break,
                 Ok(_) => {

@@ -9,13 +9,17 @@
 //! event logs exercise the paper's linear-time claim for real.
 //!
 //! Ingestion is batch-oriented: the pipeline pulls arena-backed
-//! [`EventBatch`]es and walks them event-by-event, so boxed sources
-//! cost one virtual call per ~4096 events. The [`par`] submodule builds
-//! on the same seam to fan **one** ingest pass out to many checkers on
-//! worker threads, and the [`multi`] submodule lifts the discipline one
-//! level up: a corpus scheduler driving an unbounded stream of traces
-//! through *resident* checker sessions (`rapid batch`) — see their
-//! docs.
+//! [`EventBatch`]es, so boxed sources cost one virtual call per ~4096
+//! events. [`Pipeline::run`] overlaps ingest with checking: the calling
+//! thread decodes and validates batches while one scoped worker thread
+//! runs the checker (hence its `C: Send` bound), fed through the same
+//! bounded, arena-recycling channel the [`par`] fan-out uses to send
+//! **one** ingest pass to many checkers on worker threads. Read-ahead
+//! is bounded by the channel, so a run that stops at a violation has
+//! ingested at most a few batches past it. The [`multi`] submodule
+//! lifts the discipline one level up: a corpus scheduler driving an
+//! unbounded stream of traces through *resident* checker sessions
+//! (`rapid batch`) — see their docs.
 //!
 //! Validation is **on by default**: the checkers assume the Section 2
 //! well-formedness conditions, so verdicts on ill-formed traces are
@@ -45,6 +49,8 @@
 //! assert!(v.display_with_names(&names).contains("`x`"));
 //! # Ok::<(), tracelog::SourceError>(())
 //! ```
+
+use std::ops::ControlFlow;
 
 use aerodrome::{Checker, Outcome};
 use tracelog::stream::{EventBatch, EventSource, DEFAULT_BATCH_EVENTS};
@@ -117,6 +123,29 @@ pub fn feed_panel(
     }
 }
 
+/// [`Pipeline::run`]'s worker state: the checker, the events fed to it
+/// and its violation, if it fired.
+struct RunState<'a, C: ?Sized> {
+    checker: &'a mut C,
+    events: u64,
+    violation: Option<aerodrome::Violation>,
+}
+
+impl<C: Checker + ?Sized> RunState<'_, C> {
+    /// Feeds `batch` in order, breaking at the first violation.
+    fn feed(&mut self, batch: &EventBatch) -> ControlFlow<()> {
+        for (i, &event) in batch.events().iter().enumerate() {
+            if let Err(violation) = self.checker.process(event) {
+                self.events += i as u64 + 1;
+                self.violation = Some(violation);
+                return ControlFlow::Break(());
+            }
+        }
+        self.events += batch.len() as u64;
+        ControlFlow::Continue(())
+    }
+}
+
 /// The outcome of a [`Pipeline::run`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PipelineReport {
@@ -125,7 +154,9 @@ pub struct PipelineReport {
     /// Events fed to the checker (the violating event included).
     pub events: u64,
     /// Residual open transactions / held locks observed by the validator
-    /// over the processed prefix; `None` when validation was disabled.
+    /// over the whole log; `None` when validation was disabled or the
+    /// run stopped at a violation (the validator reads ahead of the
+    /// checker, so a residue there would depend on timing).
     pub summary: Option<ValiditySummary>,
 }
 
@@ -195,48 +226,52 @@ impl<S: EventSource> Pipeline<S> {
     /// Streams every event through the validator (if enabled) into
     /// `checker`, stopping at the first violation.
     ///
+    /// Ingest and checking overlap: the calling thread refills batches
+    /// from the source and validates them while one scoped worker thread
+    /// runs `checker` — hence `C: Send` — over the same bounded,
+    /// arena-recycling channel as [`par::check_all`]. The checker still
+    /// sees every event in trace order, so verdicts and counters are
+    /// those of a sequential run. Read-ahead is bounded: a run that
+    /// stops at a violation has decoded and validated at most
+    /// [`par::CHANNEL_BATCHES`] `+ 1` batches beyond the violating one,
+    /// and never reports an error found there — a violation wins over
+    /// any later ingest failure. [`PipelineReport::summary`] is `None`
+    /// after a violation.
+    ///
     /// # Errors
     ///
-    /// Propagates source failures; an ill-formed event surfaces as
+    /// Propagates source failures once the events before them have been
+    /// checked; an ill-formed event surfaces as
     /// [`SourceError::Malformed`] before the checker sees it.
-    pub fn run<C: Checker + ?Sized>(
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the checker on the calling thread.
+    pub fn run<C: Checker + Send + ?Sized>(
         &mut self,
         checker: &mut C,
     ) -> Result<PipelineReport, SourceError> {
-        // Batch-driven since the parallel-runtime refactor: the source
-        // refills one arena-backed batch per pull, so a boxed source
-        // costs one virtual call per ~4096 events. Event-level semantics
-        // are unchanged — validator and checker still see every event in
-        // order, and a violation or error surfaces at the same event as
-        // per-event iteration would (a source error only surfaces after
-        // the events preceding it have been processed).
-        let mut validator = self.validate.then(Validator::new);
-        let mut events = 0u64;
-        let mut batch = EventBatch::with_target(self.batch_events);
-        loop {
-            let refill = self.source.next_batch(&mut batch);
-            for &event in batch.events() {
-                if let Some(v) = validator.as_mut() {
-                    v.observe(event)?;
-                }
-                events += 1;
-                if let Err(violation) = checker.process(event) {
-                    return Ok(PipelineReport {
-                        outcome: Outcome::Violation(violation),
-                        events,
-                        summary: validator.map(Validator::finish),
-                    });
-                }
-            }
-            if refill? == 0 {
-                break;
-            }
+        let (mut runs, ingest) = par::fan_out(
+            &mut self.source,
+            vec![RunState { checker, events: 0, violation: None }],
+            self.batch_events,
+            self.validate,
+            RunState::feed,
+        );
+        let RunState { events, violation, .. } = runs.pop().expect("one state per worker");
+        if let Some(violation) = violation {
+            // The validator has read ahead of the checker by now, so its
+            // residue would depend on timing: report none.
+            return Ok(PipelineReport {
+                outcome: Outcome::Violation(violation),
+                events,
+                summary: None,
+            });
         }
-        Ok(PipelineReport {
-            outcome: Outcome::Serializable,
-            events,
-            summary: validator.map(Validator::finish),
-        })
+        if let Some(e) = ingest.error {
+            return Err(e);
+        }
+        Ok(PipelineReport { outcome: Outcome::Serializable, events, summary: ingest.summary })
     }
 
     /// Drains the source (validating by default) into an in-memory
@@ -311,6 +346,9 @@ mod tests {
         }
     }
 
+    /// The ρ2 shape of Figure 2: a violation at its fourth event.
+    const VIOLATING: &str = "t1|begin|0\nt1|r(x)|1\nt2|w(x)|2\nt1|w(x)|3\nt1|end|4\n";
+
     #[test]
     fn validation_rejects_ill_formed_input_before_the_checker() {
         let log = "t1|rel(m)|0\n";
@@ -321,6 +359,98 @@ mod tests {
         let mut pipeline = Pipeline::new(StdReader::new(log.as_bytes())).validate(false);
         let report = pipeline.run(&mut OptimizedChecker::new()).unwrap();
         assert!(report.summary.is_none());
+
+        // A violation wins over an ill-formed event after it, at the
+        // event the sequential reference reports, whatever the batching.
+        let (trace, _) = Pipeline::new(StdReader::new(VIOLATING.as_bytes())).collect().unwrap();
+        let reference = run_checker(&mut OptimizedChecker::new(), &trace);
+        let log = format!("{VIOLATING}t3|rel(m)|5\n");
+        for batch in [1, 2, 4096] {
+            let mut pipeline = Pipeline::new(StdReader::new(log.as_bytes())).batch_events(batch);
+            let report = pipeline.run(&mut OptimizedChecker::new()).unwrap();
+            assert_eq!(report.outcome, reference, "batch {batch}");
+            assert_eq!(report.events, 4, "batch {batch}");
+            assert!(report.summary.is_none(), "batch {batch}: no residue after a violation");
+        }
+
+        // An ill-formed event before any violation is an error, and the
+        // checker saw exactly the events before it — not the violation
+        // that follows.
+        let log = format!("t3|begin|0\nt3|end|1\nt3|rel(m)|2\n{VIOLATING}");
+        for batch in [1, 2, 4096] {
+            let mut checker = OptimizedChecker::new();
+            let mut pipeline = Pipeline::new(StdReader::new(log.as_bytes())).batch_events(batch);
+            let err = pipeline.run(&mut checker).unwrap_err();
+            assert!(matches!(err, SourceError::Malformed(_)), "batch {batch}: {err}");
+            assert_eq!(checker.events_processed(), 2, "batch {batch}");
+        }
+    }
+
+    /// Counts [`EventSource::next_batch`] calls.
+    struct Counting<S> {
+        inner: S,
+        refills: usize,
+    }
+
+    impl<S: EventSource> EventSource for Counting<S> {
+        fn next_event(&mut self) -> Result<Option<tracelog::Event>, SourceError> {
+            self.inner.next_event()
+        }
+
+        fn next_batch(&mut self, batch: &mut EventBatch) -> Result<usize, SourceError> {
+            self.refills += 1;
+            self.inner.next_batch(batch)
+        }
+
+        fn names(&self) -> tracelog::stream::SourceNames<'_> {
+            self.inner.names()
+        }
+    }
+
+    #[test]
+    fn read_ahead_past_a_violation_is_bounded() {
+        // A million-event trace violating inside its first batch: ingest
+        // must stop within the channel's reach, not drain the source.
+        let cfg = workloads::GenConfig {
+            events: 1_000_000,
+            violation_at: Some(0.001),
+            ..workloads::GenConfig::default()
+        };
+        let source = Counting { inner: workloads::GenSource::new(&cfg), refills: 0 };
+        let mut pipeline = Pipeline::new(source);
+        let report = pipeline.run(&mut OptimizedChecker::new()).unwrap();
+        assert!(report.outcome.is_violation());
+        assert!(report.events <= DEFAULT_BATCH_EVENTS as u64, "violation at {}", report.events);
+        let refills = pipeline.source().refills;
+        assert!(refills <= par::CHANNEL_BATCHES + 3, "{refills} refills");
+    }
+
+    /// A checker that panics on its first event.
+    struct Exploding;
+
+    impl Checker for Exploding {
+        fn process(&mut self, _: tracelog::Event) -> Result<(), aerodrome::Violation> {
+            panic!("checker exploded");
+        }
+
+        fn events_processed(&self) -> u64 {
+            0
+        }
+
+        fn name(&self) -> &'static str {
+            "exploding"
+        }
+
+        fn reset(&mut self) {}
+    }
+
+    #[test]
+    #[should_panic(expected = "checker exploded")]
+    fn checker_panic_is_re_raised_on_the_caller() {
+        // Long enough that ingest fills the channel and blocks on the
+        // dead worker: the run must end in the panic, not hang.
+        let cfg = workloads::GenConfig { events: 200_000, ..workloads::GenConfig::default() };
+        let _ = Pipeline::new(workloads::GenSource::new(&cfg)).run(&mut Exploding);
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //!   ingest thread. Total buffers are bounded by `CHANNEL_BATCHES + 2`
 //!   regardless of how slow a worker is — backpressure, not buffering.
 //!
+//! The same ingest loop drives single-checker [`super::Pipeline::run`]:
+//! one worker whose checker stops at its first violation, after which
+//! ingest stops too instead of draining the source.
+//!
 //! Every checker sees every event in trace order, so verdicts and
 //! [`CheckerReport`] counters are bit-identical to running that checker
 //! standalone; only the wall time changes. Workers run under
@@ -45,7 +49,8 @@
 //! # Ok::<(), tracelog::SourceError>(())
 //! ```
 
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::ops::ControlFlow;
+use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -239,11 +244,6 @@ pub fn check_all<S: EventSource + ?Sized>(
         });
     }
     let workers = config.effective_jobs(checkers.len());
-    // One batch being filled + up to `CHANNEL_BATCHES` queued + one in a
-    // worker's hands: the whole run never needs more arenas than this,
-    // however slow the slowest worker is (fan-out shares one Arc per
-    // batch, so the slowest worker's channel is the global bound).
-    let buffer_cap = CHANNEL_BATCHES + 2;
 
     // Round-robin the panel over the workers, remembering input order.
     let mut shards: Vec<Shard> = (0..workers).map(|_| Shard::default()).collect();
@@ -254,41 +254,135 @@ pub fn check_all<S: EventSource + ?Sized>(
         shard.violations.push(None);
     }
 
-    let mut validator = config.validate.then(Validator::new);
-    let mut stats = ParStats { workers, ..ParStats::default() };
-    let mut events = 0u64;
-    let mut error: Option<SourceError> = None;
-
+    let (shards, ingest) =
+        fan_out(source, shards, config.batch_events, config.validate, |shard, batch| {
+            super::feed_panel(&mut shard.checkers, &mut shard.violations, batch, |_, _| {});
+            ControlFlow::Continue(())
+        });
+    if let Some(e) = ingest.error {
+        return Err(e);
+    }
     let mut runs: Vec<(usize, CheckerRun)> = Vec::new();
-    thread::scope(|s| {
+    for Shard { indices, checkers, violations } in shards {
+        for (index, (checker, violation)) in
+            indices.into_iter().zip(checkers.into_iter().zip(violations))
+        {
+            let outcome = violation.map_or(Outcome::Serializable, Outcome::Violation);
+            runs.push((
+                index,
+                CheckerRun { name: checker.name(), outcome, report: checker.report() },
+            ));
+        }
+    }
+    runs.sort_by_key(|(index, _)| *index); // recover input order
+    let runs = runs.into_iter().map(|(_, run)| run).collect();
+    Ok(ParReport { runs, events: ingest.events, summary: ingest.summary, stats: ingest.stats })
+}
+
+/// What one [`fan_out`] ingest pass leaves behind beside the workers'
+/// states.
+pub(super) struct Ingest {
+    /// Events ingested and sent to the workers.
+    pub(super) events: u64,
+    /// Validator residue over the events ingested, `None` when
+    /// validation was disabled.
+    pub(super) summary: Option<ValiditySummary>,
+    /// The first source or validation failure; every event before it
+    /// was sent to the workers.
+    pub(super) error: Option<SourceError>,
+    /// Runtime counters.
+    pub(super) stats: ParStats,
+}
+
+/// The one ingest loop of the runtime, shared by [`check_all`] and
+/// [`super::Pipeline::run`]: the calling thread refills arenas from
+/// `source` and validates them (when `validate` is on) while one scoped
+/// thread per entry of `workers` feeds every batch to `feed`. Batches
+/// reach each worker in trace order through a bounded channel of depth
+/// [`CHANNEL_BATCHES`], and the last worker done with a batch recycles
+/// its arena, so at most `CHANNEL_BATCHES + 2` arenas ever exist.
+///
+/// A worker whose `feed` returns [`ControlFlow::Break`] stops receiving;
+/// ingest then stops at its next send (or arena wait) instead of
+/// draining the source, which is how a single checker stops at its
+/// first violation. Returns the workers' states, in input order, once
+/// ingest has stopped and every worker has finished.
+///
+/// # Panics
+///
+/// Re-raises the panic of a worker on the calling thread; panics if
+/// `workers` is empty.
+pub(super) fn fan_out<S, W, F>(
+    source: &mut S,
+    workers: Vec<W>,
+    batch_events: usize,
+    validate: bool,
+    feed: F,
+) -> (Vec<W>, Ingest)
+where
+    S: EventSource + ?Sized,
+    W: Send,
+    F: Fn(&mut W, &EventBatch) -> ControlFlow<()> + Sync,
+{
+    assert!(!workers.is_empty(), "fan_out needs at least one worker");
+    // One batch being filled + up to `CHANNEL_BATCHES` queued + one in a
+    // worker's hands: the whole run never needs more arenas than this,
+    // however slow the slowest worker is (fan-out shares one Arc per
+    // batch, so the slowest worker's channel is the global bound).
+    let buffer_cap = CHANNEL_BATCHES + 2;
+    let mut validator = validate.then(Validator::new);
+    let mut ingest = Ingest {
+        events: 0,
+        summary: None,
+        error: None,
+        stats: ParStats { workers: workers.len(), ..ParStats::default() },
+    };
+    let feed = &feed;
+
+    let states = thread::scope(|s| {
         let (recycle_tx, recycle_rx) = mpsc::channel::<EventBatch>();
-        let mut batch_txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for shard in shards {
+        let mut batch_txs = Vec::with_capacity(workers.len());
+        let mut handles = Vec::with_capacity(workers.len());
+        for mut state in workers {
             let (tx, rx) = mpsc::sync_channel::<Arc<EventBatch>>(CHANNEL_BATCHES);
             let recycle = recycle_tx.clone();
             batch_txs.push(tx);
-            handles.push(s.spawn(move || worker(shard, &rx, &recycle)));
+            handles.push(s.spawn(move || {
+                for batch in rx.iter() {
+                    let flow = feed(&mut state, &batch);
+                    if let Some(arena) = Arc::into_inner(batch) {
+                        // Last holder: hand the arena back for the next
+                        // refill. Ingest may already be gone on early
+                        // exit; that's fine.
+                        let _ = recycle.send(arena);
+                    }
+                    if flow.is_break() {
+                        break;
+                    }
+                }
+                state
+            }));
         }
         // Workers hold the only recycle senders: when they are all gone
-        // (panic), the blocking recv below errors instead of hanging.
+        // (finished early or panicked), the blocking recv below errors
+        // instead of hanging.
         drop(recycle_tx);
 
         'ingest: loop {
             let mut batch = match recycle_rx.try_recv() {
                 Ok(recycled) => recycled,
-                Err(TryRecvError::Empty) if stats.batch_buffers < buffer_cap => {
-                    stats.batch_buffers += 1;
-                    EventBatch::with_target(config.batch_events)
+                Err(TryRecvError::Empty) if ingest.stats.batch_buffers < buffer_cap => {
+                    ingest.stats.batch_buffers += 1;
+                    EventBatch::with_target(batch_events)
                 }
                 Err(TryRecvError::Empty) => {
                     // Pool exhausted: wait for a worker to recycle an
                     // arena. A worker finishing *before* the channels
-                    // close can only mean it panicked — and a panicking
-                    // worker can strand arenas in its queue instead of
-                    // recycling them, so a plain recv() could hang. Poll
-                    // with a timeout and abort ingest once any worker is
-                    // gone; join below re-raises its panic.
+                    // close either stopped early or panicked — and a
+                    // panicking worker can strand arenas in its queue
+                    // instead of recycling them, so a plain recv() could
+                    // hang. Poll with a timeout and abort ingest once any
+                    // worker is gone; join below re-raises its panic.
                     let mut recovered = None;
                     loop {
                         match recycle_rx.recv_timeout(Duration::from_millis(50)) {
@@ -314,22 +408,22 @@ pub fn check_all<S: EventSource + ?Sized>(
             let refill = source.next_batch(&mut batch);
             if let Some(v) = validator.as_mut() {
                 if let Some(e) = super::validate_batch(v, &mut batch) {
-                    error = Some(e.into());
+                    ingest.error = Some(e.into());
                 }
             }
             let exhausted = match refill {
                 // A validation failure inside the batch precedes a source
                 // failure past its end; keep the earlier error.
-                Err(e) if error.is_none() => {
-                    error = Some(e);
+                Err(e) if ingest.error.is_none() => {
+                    ingest.error = Some(e);
                     true
                 }
                 Err(_) => true,
-                Ok(n) => n == 0 || error.is_some(),
+                Ok(n) => n == 0 || ingest.error.is_some(),
             };
-            events += batch.len() as u64;
+            ingest.events += batch.len() as u64;
             if !batch.is_empty() {
-                stats.batches += 1;
+                ingest.stats.batches += 1;
                 // Hand the *original* Arc to the last worker so the
                 // ingest thread never retains a reference: the last
                 // worker to drop is then always a worker, and its
@@ -349,11 +443,10 @@ pub fn check_all<S: EventSource + ?Sized>(
                     worker_gone |= tx.send(arc).is_err();
                 }
                 if worker_gone {
-                    // A send fails only when that worker panicked. Its
-                    // results are lost, so the run is doomed: stop
-                    // feeding everyone and let join re-raise the panic
-                    // (continuing could deadlock on arenas stranded in
-                    // the dead worker's queue).
+                    // A send fails only when that worker stopped early
+                    // or panicked: stop feeding everyone and let join
+                    // sort out which (continuing could deadlock on
+                    // arenas stranded in a dead worker's queue).
                     break 'ingest;
                 }
             }
@@ -363,48 +456,11 @@ pub fn check_all<S: EventSource + ?Sized>(
         }
 
         drop(batch_txs); // end-of-stream for every worker
-        for handle in handles {
-            match handle.join() {
-                Ok(mut shard_runs) => runs.append(&mut shard_runs),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
+        handles
+            .into_iter()
+            .map(|handle| handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
-
-    if let Some(e) = error {
-        return Err(e);
-    }
-    runs.sort_by_key(|(index, _)| *index); // recover input order
-    let runs = runs.into_iter().map(|(_, run)| run).collect();
-    Ok(ParReport { runs, events, summary: validator.map(Validator::finish), stats })
-}
-
-/// Drains one worker's channel, feeding every batch to the worker's
-/// checkers and recycling the arena when this worker is the last holder.
-fn worker(
-    mut shard: Shard,
-    rx: &Receiver<Arc<EventBatch>>,
-    recycle: &Sender<EventBatch>,
-) -> Vec<(usize, CheckerRun)> {
-    for batch in rx.iter() {
-        super::feed_panel(&mut shard.checkers, &mut shard.violations, &batch, |_, _| {});
-        if let Some(arena) = Arc::into_inner(batch) {
-            // Last holder: hand the arena back for the next refill. The
-            // ingest side may already be gone on early exit; that's fine.
-            let _ = recycle.send(arena);
-        }
-    }
-    let Shard { indices, checkers, violations } = shard;
-    indices
-        .into_iter()
-        .zip(checkers.into_iter().zip(violations))
-        .map(|(index, (checker, violation))| {
-            let run = CheckerRun {
-                name: checker.name(),
-                outcome: violation.map_or(Outcome::Serializable, Outcome::Violation),
-                report: checker.report(),
-            };
-            (index, run)
-        })
-        .collect()
+    ingest.summary = validator.map(Validator::finish);
+    (states, ingest)
 }

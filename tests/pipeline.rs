@@ -11,7 +11,7 @@ use tracelog::paper_traces;
 use workloads::shapes;
 
 /// All checkers under one name each, fresh per call.
-fn checkers() -> Vec<(&'static str, Box<dyn Checker>)> {
+fn checkers() -> Vec<(&'static str, Box<dyn Checker + Send>)> {
     vec![
         ("basic", Box::new(BasicChecker::new())),
         ("readopt", Box::new(ReadOptChecker::new())),
@@ -20,7 +20,7 @@ fn checkers() -> Vec<(&'static str, Box<dyn Checker>)> {
     ]
 }
 
-fn pipeline_outcome(trace: &Trace, checker: &mut dyn Checker) -> Outcome {
+fn pipeline_outcome(trace: &Trace, checker: &mut (dyn Checker + Send)) -> Outcome {
     Pipeline::new(trace.stream()).run(checker).expect("well-formed in-memory trace").outcome
 }
 

@@ -16,7 +16,10 @@ use workloads::shapes;
 /// Drives one source through `checker` (validation off: generator
 /// sources are well-formed by construction, and the paper traces are
 /// prefixes in some cases), returning the verdict and report.
-fn drive(checker: &mut dyn Checker, source: Box<dyn EventSource>) -> (Outcome, CheckerReport) {
+fn drive(
+    checker: &mut (dyn Checker + Send),
+    source: Box<dyn EventSource>,
+) -> (Outcome, CheckerReport) {
     let mut pipeline = Pipeline::new(source).validate(false);
     let outcome = pipeline.run(checker).expect("sources are well-formed").outcome;
     (outcome, checker.report())
