@@ -21,14 +21,12 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aerodrome::basic::BasicChecker;
 use aerodrome::optimized::OptimizedChecker;
 use aerodrome::readopt::ReadOptChecker;
 use aerodrome::{Checker, Outcome};
-use aerodrome_suite::pipeline::chunkpar::ChunkParSource;
 use aerodrome_suite::pipeline::multi::{self, MultiConfig};
 use aerodrome_suite::pipeline::par::{self, CheckerRun, ParConfig, SendChecker};
 use aerodrome_suite::pipeline::Pipeline;
@@ -40,16 +38,13 @@ use velodrome::{Config, Strategy, VelodromeChecker};
 /// A parsed command line.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
-    /// `rapid metainfo <trace.std> [--ingest-jobs N] [--batch N]` —
-    /// trace statistics (Tables 1–2 columns 2–6).
+    /// `rapid metainfo <trace.std> [--batch N]` — trace statistics
+    /// (Tables 1–2 columns 2–6).
     MetaInfo {
         /// Path of the trace log.
         path: String,
         /// Events per ingest batch; `None` uses the default (~4096).
         batch: Option<usize>,
-        /// Reader threads decoding chunks of a binary trace (default 1:
-        /// the caller thread ingests alone).
-        ingest_jobs: usize,
     },
     /// `rapid aerodrome <trace.std> [--algorithm basic|readopt|optimized]
     /// [--batch N] [--no-validate]` (alias: `rapid check`).
@@ -75,34 +70,26 @@ pub enum Command {
         /// Events per ingest batch; `None` uses the default (~4096).
         batch: Option<usize>,
     },
-    /// `rapid compare <trace> [--jobs N] [--ingest-jobs N] [--batch N]
-    /// [--no-validate]` — one parse pass fanned out to every checker
-    /// variant in parallel. With `--ingest-jobs N` (N ≥ 2, binary `.rbt`
-    /// input only) the single file is *read* chunk-parallel too.
+    /// `rapid compare <trace> [--jobs N] [--batch N] [--no-validate]` —
+    /// one parse pass fanned out to every checker variant in parallel.
     Compare {
         /// Path of the trace log (`.std` or `.rbt`, sniffed by magic).
         path: String,
         /// Worker threads (`0` = one per available CPU).
         jobs: usize,
-        /// Reader threads decoding chunks of a binary trace (default 1:
-        /// the caller thread ingests alone).
-        ingest_jobs: usize,
         /// Events per batch; `None` uses the default (~4096).
         batch: Option<usize>,
         /// Run the streaming well-formedness pre-pass (default true).
         validate: bool,
     },
-    /// `rapid validate <trace.std> [--ingest-jobs N] [--batch N]` — the
-    /// streaming well-formedness check alone (exit 1 on the first
-    /// ill-formed event).
+    /// `rapid validate <trace.std> [--batch N]` — the streaming
+    /// well-formedness check alone (exit 1 on the first ill-formed
+    /// event).
     Validate {
         /// Path of the trace log.
         path: String,
         /// Events per ingest batch; `None` uses the default (~4096).
         batch: Option<usize>,
-        /// Reader threads decoding chunks of a binary trace (default 1:
-        /// the caller thread ingests alone).
-        ingest_jobs: usize,
     },
     /// `rapid batch <dir|manifest|trace.std> [--jobs N] [--batch N]
     /// [--checker NAME] [--seal-verify] [--no-validate]` — the resident
@@ -393,17 +380,16 @@ pub const USAGE: &str = "\
 rapid — atomicity checking on trace logs (AeroDrome reproduction)
 
 USAGE:
-    rapid metainfo  <trace.std> [--batch N] [--ingest-jobs N]
+    rapid metainfo  <trace.std> [--batch N]
     rapid aerodrome <trace.std> [--algorithm basic|readopt|optimized]
                     [--batch N] [--no-validate]   (alias: rapid check)
     rapid velodrome <trace.std> [--no-gc] [--pearce-kelly]
                     [--batch N] [--no-validate]
-    rapid compare   <trace.std> [--jobs N] [--ingest-jobs N]
-                    [--batch N] [--no-validate]
+    rapid compare   <trace.std> [--jobs N] [--batch N] [--no-validate]
     rapid batch     <dir|manifest|trace.std> [--jobs N] [--batch N]
                     [--checker all|basic|readopt|optimized|velodrome]
                     [--seal-verify] [--no-validate]
-    rapid validate  <trace.std> [--batch N] [--ingest-jobs N]
+    rapid validate  <trace.std> [--batch N]
     rapid convert   <in> <out> [--chunk-events N]
     rapid generate  <out.std> [--profile NAME|convoy|fanout|nesting]
                     [--events N]
@@ -436,9 +422,6 @@ accepts either encoding, sniffed by file magic (the extension is only a
 convention); `rapid convert` transcodes between them both ways, and the
 `.std` -> `.rbt` -> `.std` round-trip is byte-exact. `.expect` seal
 sidecars record identical text for both encodings of a trace.
-`--ingest-jobs N` (N ≥ 2, binary input only; on `metainfo`, `validate`
-and `compare`) additionally decodes the single file with N
-chunk-parallel readers feeding the analysis.
 
 `--batch N` is uniform across every event-ingesting subcommand: events
 pulled per parser refill (default ~4096). It never changes verdicts,
@@ -578,17 +561,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                 .ok_or_else(|| UsageError("metainfo requires a trace path".into()))?
                 .clone();
             let mut batch = None;
-            let mut ingest_jobs = 1usize;
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
                     "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--ingest-jobs" => ingest_jobs = positive_flag(args, &mut i, "--ingest-jobs")?,
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
             }
-            Ok(Command::MetaInfo { path, batch, ingest_jobs })
+            Ok(Command::MetaInfo { path, batch })
         }
         "aerodrome" | "check" => {
             let path = args
@@ -646,21 +627,19 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                 .ok_or_else(|| UsageError("compare requires a trace path".into()))?
                 .clone();
             let mut jobs = 0usize;
-            let mut ingest_jobs = 1usize;
             let mut batch = None;
             let mut validate = true;
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
                     "--jobs" => jobs = jobs_flag(args, &mut i)?,
-                    "--ingest-jobs" => ingest_jobs = positive_flag(args, &mut i, "--ingest-jobs")?,
                     "--batch" => batch = Some(batch_flag(args, &mut i)?),
                     "--no-validate" => validate = false,
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
             }
-            Ok(Command::Compare { path, jobs, ingest_jobs, batch, validate })
+            Ok(Command::Compare { path, jobs, batch, validate })
         }
         "convert" => {
             let input = args
@@ -694,17 +673,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                 .ok_or_else(|| UsageError("validate requires a trace path".into()))?
                 .clone();
             let mut batch = None;
-            let mut ingest_jobs = 1usize;
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
                     "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--ingest-jobs" => ingest_jobs = positive_flag(args, &mut i, "--ingest-jobs")?,
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
                 }
                 i += 1;
             }
-            Ok(Command::Validate { path, batch, ingest_jobs })
+            Ok(Command::Validate { path, batch })
         }
         "batch" => {
             let path = args
@@ -989,41 +966,6 @@ pub fn load_trace(path: &str) -> Result<Trace, String> {
     tracelog::stream::collect_trace(&mut source).map_err(|e| format!("{path}: {e}"))
 }
 
-/// The guidance printed when chunk-parallel ingest is asked of a text
-/// log: only the binary `.rbt` container carries the chunk index the
-/// readers claim work from, so point at the exact transcode command
-/// (output path derived from the input). `--ingest-jobs 1` needs no
-/// chunk index and is accepted on either encoding.
-fn ingest_jobs_guidance(path: &str, ingest_jobs: usize) -> String {
-    let derived = Path::new(path).with_extension("rbt");
-    format!(
-        "{path}: --ingest-jobs {ingest_jobs} needs the binary .rbt encoding \
-         (transcode first: `rapid convert {path} {}`)",
-        derived.display()
-    )
-}
-
-/// Opens `path` for ingest. With `ingest_jobs > 1` the binary `.rbt`
-/// container is decoded by up to that many chunk-parallel readers (text
-/// input gets the convert guidance instead). Returns the source and the
-/// reader threads spawned (`0` when the caller thread ingests alone).
-fn open_ingest(
-    path: &str,
-    ingest_jobs: usize,
-    batch_events: usize,
-) -> Result<(Box<dyn EventSource>, usize), String> {
-    let source = open_source(path)?;
-    if ingest_jobs <= 1 {
-        return Ok((Box::new(source), 0));
-    }
-    let AnySource::Bin(bin) = &source else {
-        return Err(ingest_jobs_guidance(path, ingest_jobs));
-    };
-    let chunkpar = ChunkParSource::new(Arc::clone(bin.trace()), ingest_jobs, batch_events);
-    let readers = chunkpar.readers();
-    Ok((Box::new(chunkpar), readers))
-}
-
 /// Formats a pipeline error with the offending position in the source.
 /// The pipelines batch ahead of validation, so the source's *current*
 /// position may be past the ill-formed event; `position_of` recovers the
@@ -1221,21 +1163,13 @@ pub fn verify_seal(path: &str, jobs: usize) -> Result<(), String> {
 pub fn run(command: Command) -> Result<String, String> {
     match command {
         Command::Help => Ok(USAGE.to_owned()),
-        Command::MetaInfo { path, batch, ingest_jobs } => {
-            // Pure statistics, computed in one streaming (batched) pass
-            // — chunk-parallel over a binary trace with --ingest-jobs.
+        Command::MetaInfo { path, batch } => {
+            // Pure statistics, computed in one streaming (batched) pass.
             let batch_events = batch.unwrap_or(DEFAULT_BATCH_EVENTS);
-            let (mut source, readers) = open_ingest(&path, ingest_jobs, batch_events)?;
+            let mut source = open_source(&path)?;
             let info = MetaInfo::collect_batched(&mut source, batch_events)
                 .map_err(|e| source_err(&path, &source, &e))?;
-            let mut out = info.to_string();
-            if readers > 0 {
-                if !out.ends_with('\n') {
-                    out.push('\n');
-                }
-                let _ = writeln!(out, "chunk-parallel ingest: {readers} readers");
-            }
-            Ok(out)
+            Ok(info.to_string())
         }
         Command::Aerodrome { path, algorithm, validate, batch } => {
             let mut pipeline = Pipeline::new(open_source(&path)?)
@@ -1296,12 +1230,12 @@ pub fn run(command: Command) -> Result<String, String> {
             }
             Ok(out)
         }
-        Command::Compare { path, jobs, ingest_jobs, batch, validate } => {
+        Command::Compare { path, jobs, batch, validate } => {
             let mut config = ParConfig::default().jobs(jobs).validate(validate);
             if let Some(b) = batch {
                 config = config.batch_events(b);
             }
-            let (mut source, readers) = open_ingest(&path, ingest_jobs, config.batch_events)?;
+            let mut source = open_source(&path)?;
             let start = Instant::now();
             let report = par::check_all(&mut source, par::standard_checkers(), &config)
                 .map_err(|e| source_err(&path, &source, &e))?;
@@ -1317,9 +1251,6 @@ pub fn run(command: Command) -> Result<String, String> {
                 report.stats.batches,
                 wall.as_secs_f64()
             );
-            if readers > 0 {
-                let _ = writeln!(out, "chunk-parallel ingest: {readers} readers");
-            }
             let _ = writeln!(
                 out,
                 "{:<18} {:>7} {:>10} {:>12} {:>12}  first violation",
@@ -1478,11 +1409,9 @@ pub fn run(command: Command) -> Result<String, String> {
                 Ok(out)
             }
         }
-        Command::Validate { path, batch, ingest_jobs } => {
+        Command::Validate { path, batch } => {
             let batch_events = batch.unwrap_or(DEFAULT_BATCH_EVENTS);
-            // Chunk-parallel decode restitches events in trace order,
-            // so the online validator sees the same stream either way.
-            let (mut source, readers) = open_ingest(&path, ingest_jobs, batch_events)?;
+            let mut source = open_source(&path)?;
             let mut validator = Validator::new();
             let mut arena = EventBatch::with_target(batch_events);
             'ingest: loop {
@@ -1518,9 +1447,6 @@ pub fn run(command: Command) -> Result<String, String> {
                     summary.open_transactions.len(),
                     summary.held_locks.len()
                 );
-            }
-            if readers > 0 {
-                let _ = writeln!(out, "chunk-parallel ingest: {readers} readers");
             }
             Ok(out)
         }
@@ -1970,7 +1896,7 @@ mod tests {
     fn parses_metainfo() {
         assert_eq!(
             parse_args(&args(&["metainfo", "t.std"])).unwrap(),
-            Command::MetaInfo { path: "t.std".into(), batch: None, ingest_jobs: 1 }
+            Command::MetaInfo { path: "t.std".into(), batch: None }
         );
         assert!(parse_args(&args(&["metainfo"])).is_err());
     }
@@ -2016,7 +1942,7 @@ mod tests {
     fn parses_validate_subcommand() {
         assert_eq!(
             parse_args(&args(&["validate", "t.std"])).unwrap(),
-            Command::Validate { path: "t.std".into(), batch: None, ingest_jobs: 1 }
+            Command::Validate { path: "t.std".into(), batch: None }
         );
         assert!(parse_args(&args(&["validate"])).is_err());
     }
@@ -2087,30 +2013,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_compare_ingest_jobs_and_generate_out_format() {
-        assert_eq!(
-            parse_args(&args(&["compare", "t.rbt", "--ingest-jobs", "4"])).unwrap(),
-            Command::Compare {
-                path: "t.rbt".into(),
-                jobs: 0,
-                ingest_jobs: 4,
-                batch: None,
-                validate: true,
-            }
-        );
-        let err = parse_args(&args(&["compare", "t.rbt", "--ingest-jobs", "0"])).unwrap_err();
-        assert!(err.0.contains("--ingest-jobs must be positive"), "{err}");
-
-        // `--ingest-jobs` parses on every chunk-parallel subcommand.
-        assert_eq!(
-            parse_args(&args(&["metainfo", "t.rbt", "--ingest-jobs", "3"])).unwrap(),
-            Command::MetaInfo { path: "t.rbt".into(), batch: None, ingest_jobs: 3 }
-        );
-        assert_eq!(
-            parse_args(&args(&["validate", "t.rbt", "--ingest-jobs", "3"])).unwrap(),
-            Command::Validate { path: "t.rbt".into(), batch: None, ingest_jobs: 3 }
-        );
-
+    fn parses_generate_out_format() {
         let cmd = parse_args(&args(&["generate", "o.rbt", "--out-format", "rbt"])).unwrap();
         match cmd {
             Command::Generate { out_format, .. } => assert_eq!(out_format, OutFormat::Rbt),
@@ -2131,11 +2034,14 @@ mod tests {
         assert!(parse_args(&args(&["table1", "--bogus"])).is_err());
         assert!(parse_args(&args(&["generate", "o", "--events"])).is_err());
         // The removed per-trace sharding, second-benchmark and
-        // chunk-parallel `check` surfaces are usage errors, never
+        // chunk-parallel ingest surfaces are usage errors, never
         // silently ignored.
         for argv in [
             &["check", "t.rbt", "--shards", "2"][..],
             &["check", "t.rbt", "--ingest-jobs", "2"],
+            &["compare", "t.rbt", "--ingest-jobs", "2"],
+            &["metainfo", "t.rbt", "--ingest-jobs", "2"],
+            &["validate", "t.rbt", "--ingest-jobs", "2"],
             &["compare", "t.std", "--partition", "auto"],
             &["partition", "t.rbt"],
             &["benchdiff", "a.json", "b.json"],
@@ -2169,8 +2075,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("wrote"));
 
-        let info =
-            run(Command::MetaInfo { path: path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
+        let info = run(Command::MetaInfo { path: path.clone(), batch: None }).unwrap();
         assert!(info.contains("events:"));
 
         for algorithm in [Algorithm::Basic, Algorithm::ReadOpt, Algorithm::Optimized] {
@@ -2194,8 +2099,7 @@ mod tests {
         assert!(report.contains('✗'));
         assert!(report.contains("graph:"));
 
-        let report =
-            run(Command::Validate { path: path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
+        let report = run(Command::Validate { path: path.clone(), batch: None }).unwrap();
         assert!(report.contains("well-formed"), "{report}");
     }
 
@@ -2365,7 +2269,7 @@ mod twophase_causal_tests {
         .unwrap_err();
         assert!(err.contains("not well-formed"), "{err}");
         assert!(err.contains("line 2"), "{err}");
-        assert!(run(Command::Validate { path: path.clone(), batch: None, ingest_jobs: 1 }).is_err());
+        assert!(run(Command::Validate { path: path.clone(), batch: None }).is_err());
 
         // The opt-out analyses the trace anyway (verdict meaningless but
         // the paper's algorithms do not crash).
@@ -2396,8 +2300,7 @@ mod twophase_causal_tests {
             })
             .unwrap();
             assert!(out.contains("wrote"), "{out}");
-            let report =
-                run(Command::Validate { path: path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
+            let report = run(Command::Validate { path: path.clone(), batch: None }).unwrap();
             assert!(report.contains("closed"), "{name}: {report}");
             let report = run(Command::Aerodrome {
                 path,
@@ -2631,14 +2534,11 @@ mod binfmt_cli_tests {
         convert(&std_path, &rbt_path);
 
         // metainfo, validate, aerodrome, velodrome agree across encodings.
-        let info_std =
-            run(Command::MetaInfo { path: std_path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
-        let info_rbt =
-            run(Command::MetaInfo { path: rbt_path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
+        let info_std = run(Command::MetaInfo { path: std_path.clone(), batch: None }).unwrap();
+        let info_rbt = run(Command::MetaInfo { path: rbt_path.clone(), batch: None }).unwrap();
         assert_eq!(info_std, info_rbt, "metainfo must not depend on the encoding");
         for path in [&std_path, &rbt_path] {
-            let out =
-                run(Command::Validate { path: path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
+            let out = run(Command::Validate { path: path.clone(), batch: None }).unwrap();
             assert!(out.contains("well-formed"), "{path}: {out}");
             let out = run(Command::Aerodrome {
                 path: path.clone(),
@@ -2652,7 +2552,7 @@ mod binfmt_cli_tests {
     }
 
     #[test]
-    fn compare_verdicts_are_identical_across_encodings_and_ingest_jobs() {
+    fn compare_verdicts_are_identical_across_encodings() {
         let dir = tmp_dir("compare");
         let std_path = generate_std(&dir, "t.std", 3_000);
         let rbt_path = format!("{dir}/t.rbt");
@@ -2660,113 +2560,12 @@ mod binfmt_cli_tests {
         let verdicts = |out: &str| -> Vec<String> {
             out.lines().filter(|l| l.contains('✗') || l.contains('✓')).map(str::to_owned).collect()
         };
-        let reference = run(Command::Compare {
-            path: std_path,
-            jobs: 2,
-            ingest_jobs: 1,
-            batch: Some(257),
-            validate: true,
-        })
-        .unwrap();
-        for ingest_jobs in [1usize, 2, 4] {
-            let out = run(Command::Compare {
-                path: rbt_path.clone(),
-                jobs: 2,
-                ingest_jobs,
-                batch: Some(257),
-                validate: true,
-            })
-            .unwrap();
-            assert_eq!(
-                verdicts(&out),
-                verdicts(&reference),
-                "ingest_jobs={ingest_jobs}:\n{out}\nvs\n{reference}"
-            );
-            if ingest_jobs > 1 {
-                assert!(out.contains("chunk-parallel ingest"), "{out}");
-            }
-        }
-    }
-
-    #[test]
-    fn ingest_jobs_on_text_input_is_rejected_with_guidance() {
-        let dir = tmp_dir("reject");
-        let std_path = generate_std(&dir, "t.std", 100);
-        let err = run(Command::Compare {
-            path: std_path,
-            jobs: 1,
-            ingest_jobs: 2,
-            batch: None,
-            validate: true,
-        })
-        .unwrap_err();
-        assert!(err.contains("rapid convert"), "must point at the converter: {err}");
-        // The guidance names the EXACT command: input path plus the
-        // derived .rbt output — copy-pasteable as is.
-        let derived = std::path::Path::new(
-            &err[err.find("rapid convert").unwrap()..].split('`').next().unwrap().to_owned(),
-        )
-        .to_path_buf();
-        assert!(
-            derived.to_string_lossy().ends_with("t.rbt"),
-            "guidance must derive the .rbt path: {err}"
-        );
-        // `--ingest-jobs 1` needs no chunk index: accepted on text input.
-        let dir2 = tmp_dir("accept-one");
-        let ok_path = generate_std(&dir2, "t.std", 100);
-        run(Command::Compare {
-            path: ok_path.clone(),
-            jobs: 1,
-            ingest_jobs: 1,
-            batch: None,
-            validate: true,
-        })
-        .unwrap();
-        run(Command::Aerodrome {
-            path: ok_path,
-            algorithm: Algorithm::Optimized,
-            validate: true,
-            batch: None,
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn metainfo_and_validate_ingest_chunk_parallel() {
-        let dir = tmp_dir("meta-ingest");
-        let std_path = generate_std(&dir, "t.std", 2_000);
-        let rbt_path = format!("{dir}/t.rbt");
-        convert(&std_path, &rbt_path);
-        let strip = |out: &str| -> String {
-            out.lines()
-                .filter(|l| !l.contains("chunk-parallel ingest"))
-                .collect::<Vec<_>>()
-                .join("\n")
+        let compare = |path: String| {
+            run(Command::Compare { path, jobs: 2, batch: Some(257), validate: true }).unwrap()
         };
-
-        let meta_seq =
-            run(Command::MetaInfo { path: rbt_path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
-        let meta_par =
-            run(Command::MetaInfo { path: rbt_path.clone(), batch: Some(128), ingest_jobs: 3 })
-                .unwrap();
-        assert!(meta_par.contains("chunk-parallel ingest"), "{meta_par}");
-        assert_eq!(strip(&meta_par), strip(&meta_seq), "{meta_par}\nvs\n{meta_seq}");
-
-        let val_seq =
-            run(Command::Validate { path: rbt_path.clone(), batch: None, ingest_jobs: 1 }).unwrap();
-        let val_par =
-            run(Command::Validate { path: rbt_path, batch: Some(128), ingest_jobs: 3 }).unwrap();
-        assert!(val_par.contains("chunk-parallel ingest"), "{val_par}");
-        assert_eq!(strip(&val_par), strip(&val_seq), "{val_par}\nvs\n{val_seq}");
-
-        // Text input gets the same convert guidance as the other commands.
-        for cmd in [
-            Command::MetaInfo { path: std_path.clone(), batch: None, ingest_jobs: 2 },
-            Command::Validate { path: std_path, batch: None, ingest_jobs: 2 },
-        ] {
-            let err = run(cmd).unwrap_err();
-            assert!(err.contains("rapid convert"), "{err}");
-        }
+        let reference = compare(std_path);
+        let out = compare(rbt_path);
+        assert_eq!(verdicts(&out), verdicts(&reference), "{out}\nvs\n{reference}");
     }
 
     #[test]
@@ -2865,8 +2664,7 @@ mod binfmt_cli_tests {
         let offset = tracelog::binfmt::HEADER_BYTES + 300 * 9;
         bytes[offset] = 0xEE;
         std::fs::write(&rbt_path, &bytes).unwrap();
-        let err =
-            run(Command::MetaInfo { path: rbt_path, batch: None, ingest_jobs: 1 }).unwrap_err();
+        let err = run(Command::MetaInfo { path: rbt_path, batch: None }).unwrap_err();
         assert!(err.contains("record 300 (chunk 1)"), "{err}");
     }
 }

@@ -31,13 +31,10 @@
 //! threads u32, locks u32, vars u32}` — the half-open event range
 //! `[first_event, first_event + events)` plus the *cumulative* interner
 //! sizes once the chunk has been read. Because records are fixed-width,
-//! a chunk boundary can never split a record, and a reader can start
-//! decoding at any chunk boundary without touching the bytes before it:
-//! that is what makes chunk-parallel ingest of a single file possible
-//! (N readers claim chunks and feed the parallel runtime's bounded
-//! channels). The name tables live *after* the events so the writer is a
-//! single forward pass — no seeking, so the format can be written to a
-//! pipe.
+//! a chunk boundary can never split a record, and a decode error can be
+//! attributed to its chunk as well as its record (`record N (chunk C)`).
+//! The name tables live *after* the events so the writer is a single
+//! forward pass — no seeking, so the format can be written to a pipe.
 //!
 //! Reading goes through [`BinTrace`] (open + validate + name preload)
 //! and [`MmapSource`], an [`EventSource`] that decodes records straight
@@ -47,9 +44,9 @@
 //! reads into a scratch buffer, and non-Unix builds read the file into
 //! memory once; semantics are identical across the three backings.
 //!
-//! [`AnySource`] sniffs the 8-byte magic and serves either encoding
-//! behind one type, which is how every ingesting `rapid` subcommand
-//! auto-detects the format.
+//! [`sniff_magic`] is the one encoding test: [`AnySource`] uses it to
+//! serve either encoding behind one type, which is how every ingesting
+//! `rapid` subcommand auto-detects the format.
 //!
 //! # Examples
 //!
@@ -105,10 +102,9 @@ pub const FOOTER_BYTES: usize = 48;
 /// threads u32 · locks u32 · vars u32`.
 pub const CHUNK_ENTRY_BYTES: usize = 24;
 
-/// Default events per chunk for the writer: big enough that per-chunk
-/// overhead (an index entry, a claim in the parallel reader) is noise,
-/// small enough that a 1M-event file still splits into ~16 chunks for
-/// chunk-parallel ingest. 65 536 events ≈ 576 KiB of records.
+/// Default events per chunk for the writer: big enough that the
+/// per-chunk index entry is noise, small enough that a 1M-event file
+/// still splits into ~16 chunks. 65 536 events ≈ 576 KiB of records.
 pub const DEFAULT_CHUNK_EVENTS: u32 = 1 << 16;
 
 /// A structurally invalid `.rbt` file, with chunk + record attribution
@@ -291,8 +287,7 @@ pub struct ChunkMeta {
 /// The read side of an `.rbt` file: validated container metadata, the
 /// preloaded name tables, the chunk index, and the (mapped or seekable)
 /// event region. Cheap to share behind an [`Arc`]: every [`MmapSource`]
-/// — the whole-file reader and each chunk-parallel reader — borrows the
-/// same mapping.
+/// over the file borrows the same mapping.
 #[derive(Debug)]
 pub struct BinTrace {
     backing: Backing,
@@ -470,8 +465,8 @@ enum Backing {
     #[cfg_attr(not(unix), allow(dead_code))]
     Mapped(map::Mmap),
     /// Positioned reads (`pread`) into a caller scratch buffer — the
-    /// fallback when mapping fails; no shared cursor, so chunk-parallel
-    /// readers stay independent.
+    /// fallback when mapping fails; no shared cursor, so sources over
+    /// one trace stay independent.
     #[cfg(unix)]
     File(File),
     /// The whole file read into memory once (non-Unix builds; on Unix
@@ -620,15 +615,13 @@ mod map {
 /// serves positioned reads with identical semantics (see the backing
 /// preference order on [`BinTrace`]).
 ///
-/// A source covers either the whole trace ([`MmapSource::new`] /
-/// [`MmapSource::open`]) or a single chunk ([`MmapSource::for_chunk`]) —
-/// the unit the chunk-parallel ingest mode hands to each reader thread.
-/// Decode errors are **fatal** (the latch mirrors [`StdReader`]) and
-/// carry chunk + record attribution via [`BinfmtError::Record`].
+/// A source walks the whole trace in order ([`MmapSource::new`] /
+/// [`MmapSource::open`]). Decode errors are **fatal** (the latch mirrors
+/// [`StdReader`]) and carry chunk + record attribution via
+/// [`BinfmtError::Record`].
 #[derive(Debug)]
 pub struct MmapSource {
     trace: Arc<BinTrace>,
-    start: u64,
     next: u64,
     end: u64,
     scratch: Vec<u8>,
@@ -649,43 +642,7 @@ impl MmapSource {
     #[must_use]
     pub fn new(trace: Arc<BinTrace>) -> Self {
         let end = trace.event_count;
-        Self { trace, start: 0, next: 0, end, scratch: Vec::new(), done: false }
-    }
-
-    /// A source over a single chunk of an already-open trace — the unit
-    /// of chunk-parallel ingest. Each reader thread holds one of these
-    /// per claimed chunk; they share the mapping through the [`Arc`] and
-    /// have no mutable state in common.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is out of range.
-    #[must_use]
-    pub fn for_chunk(trace: Arc<BinTrace>, chunk: usize) -> Self {
-        let meta = trace.chunks[chunk];
-        let (start, end) = (meta.first_event, meta.first_event + u64::from(meta.events));
-        Self { trace, start, next: start, end, scratch: Vec::new(), done: false }
-    }
-
-    /// Re-aims an existing source at another chunk, keeping the scratch
-    /// buffer warm — how a chunk-parallel reader thread walks its
-    /// claimed chunks without reallocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is out of range.
-    pub fn reset_to_chunk(&mut self, chunk: usize) {
-        let meta = self.trace.chunks[chunk];
-        self.start = meta.first_event;
-        self.next = meta.first_event;
-        self.end = meta.first_event + u64::from(meta.events);
-        self.done = false;
-    }
-
-    /// The shared trace this source reads.
-    #[must_use]
-    pub fn trace(&self) -> &Arc<BinTrace> {
-        &self.trace
+        Self { trace, next: 0, end, scratch: Vec::new(), done: false }
     }
 
     fn record_error(&mut self, record: u64, error: WireError) -> SourceError {
@@ -726,9 +683,8 @@ impl EventSource for MmapSource {
         let n = (self.end - self.next).min(batch.target() as u64);
         let n = usize::try_from(n).expect("batch-sized count");
         let len = n * EVENT_RECORD_BYTES;
-        // A batch refill covers whole records by construction — the
-        // satellite invariant that chunk/batch boundaries never split a
-        // record mid-way.
+        // A batch refill covers whole records by construction: batch
+        // boundaries never split a record mid-way.
         debug_assert!(len.is_multiple_of(EVENT_RECORD_BYTES));
         let offset = HEADER_BYTES as u64 + self.next * EVENT_RECORD_BYTES as u64;
         let bytes =
@@ -754,7 +710,7 @@ impl EventSource for MmapSource {
     }
 
     fn size_hint(&self) -> Option<u64> {
-        Some(self.end - self.start)
+        Some(self.end)
     }
 
     fn position_of(&self, event: EventId) -> Option<String> {
@@ -762,6 +718,28 @@ impl EventSource for MmapSource {
         (record < self.trace.event_count)
             .then(|| format!("record {record} (chunk {})", self.trace.chunk_of(record)))
     }
+}
+
+/// Reads the first 8 bytes of `file` and rewinds it, reporting whether
+/// they are [`MAGIC`] (a file shorter than the magic is not binary) —
+/// the one encoding test every ingest path shares, so the format is
+/// chosen by content, never by extension.
+///
+/// # Errors
+///
+/// I/O failures reading or rewinding `file`.
+pub fn sniff_magic(file: &mut File) -> io::Result<bool> {
+    let mut magic = [0u8; 8];
+    let mut filled = 0;
+    while filled < magic.len() {
+        let n = file.read(&mut magic[filled..])?;
+        if n == 0 {
+            break;
+        }
+        filled += n;
+    }
+    file.seek(SeekFrom::Start(0))?;
+    Ok(filled == magic.len() && magic == MAGIC)
 }
 
 /// A source over either trace encoding, selected by sniffing the file
@@ -779,9 +757,9 @@ pub enum AnySource {
 }
 
 impl AnySource {
-    /// Opens `path`, sniffing the first 8 bytes for [`MAGIC`]: a match
-    /// opens the validated binary reader, anything else (including files
-    /// shorter than the magic) streams through the text parser.
+    /// Opens `path`, sniffing it with [`sniff_magic`]: a match opens the
+    /// validated binary reader, anything else (including files shorter
+    /// than the magic) streams through the text parser.
     ///
     /// # Errors
     ///
@@ -789,20 +767,10 @@ impl AnySource {
     /// but the container is structurally invalid.
     pub fn open(path: &Path) -> Result<Self, SourceError> {
         let mut file = File::open(path)?;
-        let mut magic = [0u8; 8];
-        let mut filled = 0;
-        while filled < magic.len() {
-            let n = file.read(&mut magic[filled..])?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
-        }
-        if filled == magic.len() && magic == MAGIC {
+        if sniff_magic(&mut file)? {
             drop(file);
             return Ok(Self::Bin(MmapSource::open(path).map_err(SourceError::Binary)?));
         }
-        file.seek(SeekFrom::Start(0))?;
         Ok(Self::Std(Box::new(StdReader::new(BufReader::new(file)))))
     }
 
@@ -933,28 +901,6 @@ mod tests {
         assert_eq!(bin.chunk_of(3), 0);
         assert_eq!(bin.chunk_of(4), 1);
         assert_eq!(bin.chunk_of(9), 2);
-
-        // Per-chunk readers cover exactly the chunk ranges, and their
-        // concatenation equals the whole trace.
-        let bin = Arc::new(bin);
-        let mut streamed = Vec::new();
-        for chunk in 0..bin.chunks().len() {
-            let collected =
-                collect_trace(&mut MmapSource::for_chunk(Arc::clone(&bin), chunk)).unwrap();
-            streamed.extend_from_slice(collected.events());
-        }
-        assert_eq!(streamed.as_slice(), trace.events());
-
-        // reset_to_chunk walks the same ranges through one source.
-        let mut source = MmapSource::for_chunk(Arc::clone(&bin), 0);
-        let mut replay = Vec::new();
-        for chunk in 0..bin.chunks().len() {
-            source.reset_to_chunk(chunk);
-            while let Some(e) = source.next_event().unwrap() {
-                replay.push(e);
-            }
-        }
-        assert_eq!(replay.as_slice(), trace.events());
     }
 
     #[test]

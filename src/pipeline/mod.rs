@@ -59,7 +59,6 @@ use velodrome::twophase::TwoPhaseReport;
 use velodrome::Config as VelodromeConfig;
 
 pub mod adversarial;
-pub mod chunkpar;
 pub mod multi;
 pub mod par;
 

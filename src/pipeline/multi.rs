@@ -52,7 +52,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use aerodrome::{CheckerReport, Outcome, Violation};
-use tracelog::binfmt::MmapSource;
+use tracelog::binfmt::{self, MmapSource};
 use tracelog::stream::{EventBatch, StdReader, DEFAULT_BATCH_EVENTS};
 use tracelog::{EventSource, Validator};
 
@@ -207,8 +207,9 @@ impl CorpusReport {
 /// Discovers the traces of a corpus — text `.std` and binary `.rbt`
 /// alike.
 ///
-/// * A **directory** is walked recursively; every `*.std` and `*.rbt`
-///   file is collected, sorted by path for a deterministic order.
+/// * A **directory** is walked recursively, without following directory
+///   symlinks; every `*.std` and `*.rbt` file is collected, sorted by
+///   path for a deterministic order.
 /// * A file named `*.std` or `*.rbt` is a single-trace corpus.
 /// * Any **other file** is read as a manifest: one trace path per line
 ///   (relative paths resolve against the manifest's directory), blank
@@ -245,33 +246,20 @@ pub fn discover(root: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(paths)
 }
 
+/// Collects the traces under `dir`. Directory symlinks are not followed
+/// (`DirEntry::file_type` does not traverse links): a link back up the
+/// tree would otherwise revisit the corpus once per path to it.
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() {
+        let entry = entry?;
+        let path = entry.path();
+        if entry.file_type()?.is_dir() {
             walk(&path, out)?;
         } else if path.extension().is_some_and(|e| e == "std" || e == "rbt") {
             out.push(path);
         }
     }
     Ok(())
-}
-
-/// Reads the first 8 bytes of `file` and rewinds, reporting whether
-/// they are the `.rbt` magic.
-fn sniff_binary(file: &mut File) -> std::io::Result<bool> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut magic = [0u8; 8];
-    let mut filled = 0;
-    while filled < magic.len() {
-        let n = file.read(&mut magic[filled..])?;
-        if n == 0 {
-            break;
-        }
-        filled += n;
-    }
-    file.seek(SeekFrom::Start(0))?;
-    Ok(filled == magic.len() && magic == tracelog::binfmt::MAGIC)
 }
 
 /// One trace's ingest-and-feed loop, shared by the text and binary
@@ -352,7 +340,7 @@ impl Session {
         if let Some(mut file) = file {
             // Sniff the encoding by magic (not extension), as every
             // ingesting subcommand does.
-            let binary = match sniff_binary(&mut file) {
+            let binary = match binfmt::sniff_magic(&mut file) {
                 Ok(b) => b,
                 Err(e) => {
                     error = Some(format!("{}: {e}", path.display()));

@@ -79,6 +79,14 @@ fn discovery_walks_directories_and_reads_manifests() {
     assert_eq!(from_dir.len(), 5, "{from_dir:?}");
     assert!(from_dir.windows(2).all(|w| w[0] < w[1]), "sorted: {from_dir:?}");
 
+    // A directory symlink back up the tree is not followed: the walk
+    // returns exactly the real traces instead of revisiting them.
+    #[cfg(unix)]
+    {
+        std::os::unix::fs::symlink("..", nested.join("up")).unwrap();
+        assert_eq!(discover(&dir).unwrap(), from_dir);
+    }
+
     let from_manifest = discover(&dir.join("manifest.txt")).unwrap();
     assert_eq!(from_manifest.len(), 4, "manifest lists only the written corpus");
     assert!(from_manifest.iter().all(|p| p.is_file()), "{from_manifest:?}");
