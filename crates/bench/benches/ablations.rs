@@ -4,8 +4,6 @@
 //! * the pooled clock core vs the cloned baseline (same rules, swapped
 //!   [`vc::store::ClockStore`]) per workload shape,
 //! * Velodrome with and without garbage collection,
-//! * DFS vs Pearce–Kelly cycle detection,
-//! * the two-phase `twophase_batch` sensitivity sweep,
 //! * raw vector-clock operation costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -17,7 +15,7 @@ use aerodrome::optimized::{ClonedOptimizedChecker, OptimizedChecker};
 use aerodrome::readopt::ReadOptChecker;
 use aerodrome::{run_checker, Checker};
 use vc::VectorClock;
-use velodrome::{twophase, Config, Strategy, VelodromeChecker};
+use velodrome::{Config, VelodromeChecker};
 use workloads::{generate, GenConfig};
 
 fn ablation_trace() -> tracelog::Trace {
@@ -82,82 +80,13 @@ fn bench_clock_core(c: &mut Criterion) {
     g.finish();
 }
 
-/// The `twophase_batch` sensitivity sweep (open ROADMAP item): batched
-/// phase-1 checks over a convoy (one long release→acquire chain) and a
-/// fanout (wide, conflict-free) workload.
-fn bench_twophase_batch(c: &mut Criterion) {
-    for name in ["convoy", "fanout"] {
-        let cfg = GenConfig {
-            seed: 17,
-            threads: if name == "fanout" { 33 } else { 8 },
-            events: 20_000,
-            ..GenConfig::default()
-        };
-        let trace = workloads::shapes::collect(name, &cfg).unwrap();
-        let mut g = c.benchmark_group(&format!("ablation_twophase_batch_{name}"));
-        g.sample_size(10).measurement_time(Duration::from_secs(3));
-        for batch in [64usize, 256, 1024, 4096] {
-            g.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, &batch| {
-                b.iter(|| {
-                    let config = Config { twophase_batch: batch, ..Config::default() };
-                    let report = twophase::check(&trace, &config);
-                    assert!(!report.outcome.is_violation());
-                    report.phase1_events
-                });
-            });
-        }
-        g.finish();
-    }
-}
-
 fn bench_velodrome_gc(c: &mut Criterion) {
     let trace = ablation_trace();
     let mut g = c.benchmark_group("ablation_velodrome_gc");
     g.sample_size(10).measurement_time(Duration::from_secs(4));
     for gc in [true, false] {
         g.bench_with_input(BenchmarkId::from_parameter(gc), &gc, |b, &gc| {
-            b.iter(|| {
-                run_to_end(
-                    VelodromeChecker::with_config(Config {
-                        gc,
-                        strategy: Strategy::Dfs,
-                        ..Config::default()
-                    }),
-                    &trace,
-                );
-            });
-        });
-    }
-    g.finish();
-}
-
-fn bench_cycle_detection(c: &mut Criterion) {
-    // Retention keeps the graph large so the strategy choice matters.
-    let trace = generate(&GenConfig {
-        seed: 13,
-        threads: 8,
-        locks: 4,
-        vars: 256,
-        events: 15_000,
-        retention: true,
-        probe_period: 100,
-        violation_at: None,
-        ..GenConfig::default()
-    });
-    let mut g = c.benchmark_group("ablation_cycle_detection");
-    g.sample_size(10).measurement_time(Duration::from_secs(5));
-    for (name, strategy) in [("dfs", Strategy::Dfs), ("pearce_kelly", Strategy::PearceKelly)] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                run_to_end(
-                    VelodromeChecker::with_config(Config {
-                        gc: true,
-                        strategy,
-                        ..Config::default()
-                    }),
-                    &trace,
-                );
-            });
+            b.iter(|| run_to_end(VelodromeChecker::with_config(Config { gc }), &trace));
         });
     }
     g.finish();
@@ -189,9 +118,7 @@ criterion_group!(
     benches,
     bench_aerodrome_variants,
     bench_clock_core,
-    bench_twophase_batch,
     bench_velodrome_gc,
-    bench_cycle_detection,
     bench_vector_clock_ops
 );
 criterion_main!(benches);

@@ -146,32 +146,6 @@ pub fn find_path<N>(g: &DiGraph<N>, from: NodeId, to: NodeId) -> Option<Vec<Node
     None
 }
 
-/// A topological sort of the live nodes, or `None` if the graph has a
-/// cycle. Primarily used by tests to cross-check the incremental
-/// maintainers.
-#[must_use]
-pub fn topological_sort<N>(g: &DiGraph<N>) -> Option<Vec<NodeId>> {
-    let bound = g.slot_bound();
-    let mut in_deg = vec![0usize; bound];
-    let mut live = 0usize;
-    for n in g.nodes() {
-        live += 1;
-        in_deg[n.index()] = g.in_degree(n);
-    }
-    let mut queue: Vec<NodeId> = g.nodes().filter(|&n| in_deg[n.index()] == 0).collect();
-    let mut order = Vec::with_capacity(live);
-    while let Some(n) = queue.pop() {
-        order.push(n);
-        for &s in g.successors(n) {
-            in_deg[s.index()] -= 1;
-            if in_deg[s.index()] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    (order.len() == live).then_some(order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,27 +195,6 @@ mod tests {
         }
         assert!(find_path(&g, d, a).is_none());
         assert_eq!(find_path(&g, a, a).unwrap(), vec![a]);
-    }
-
-    #[test]
-    fn topological_sort_respects_edges() {
-        let (g, [_a, _b, _c, _d]) = diamond();
-        let order = topological_sort(&g).unwrap();
-        let pos: std::collections::HashMap<_, _> =
-            order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        for (u, v) in g.edges() {
-            assert!(pos[&u] < pos[&v]);
-        }
-    }
-
-    #[test]
-    fn topological_sort_detects_cycle() {
-        let mut g = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        g.add_edge(a, b);
-        g.add_edge(b, a);
-        assert!(topological_sort(&g).is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the graph substrate: random operation sequences
 //! checked against freshly recomputed oracles.
 
-use digraph::{dfs, pk::PearceKelly, DiGraph, NodeId};
+use digraph::{dfs, DiGraph, NodeId};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -128,34 +128,5 @@ proptest! {
                 oracle_reaches(&shadow, from, to)
             );
         }
-    }
-
-    #[test]
-    fn pearce_kelly_accepts_exactly_the_acyclic_edges(
-        edges in prop::collection::vec((0u8..12, 0u8..12), 0..60),
-    ) {
-        let mut g: DiGraph<()> = DiGraph::new();
-        let mut pk = PearceKelly::new();
-        let nodes: Vec<NodeId> = (0..12)
-            .map(|_| {
-                let id = g.add_node(());
-                pk.on_add_node(id);
-                id
-            })
-            .collect();
-        for (a, b) in edges {
-            let from = nodes[a as usize];
-            let to = nodes[b as usize];
-            let would_cycle = !g.has_edge(from, to) && dfs::creates_cycle(&g, from, to);
-            match pk.try_add_edge(&mut g, from, to) {
-                Ok(_) => prop_assert!(!would_cycle, "PK accepted a cycle edge"),
-                Err(_) => prop_assert!(would_cycle || from == to, "PK rejected a safe edge"),
-            }
-            // Maintained order stays consistent with all edges.
-            for (u, v) in g.edges() {
-                prop_assert!(pk.order_of(u) < pk.order_of(v));
-            }
-        }
-        prop_assert!(dfs::topological_sort(&g).is_some());
     }
 }

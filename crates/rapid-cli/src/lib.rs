@@ -9,10 +9,11 @@
 //! online well-formedness validator straight into the checker. The
 //! single-pass analyses (`aerodrome`/`check`, `velodrome`) and
 //! `metainfo`/`validate` run in constant memory even on
-//! multi-million-event logs; `twophase` and `causal` inherently replay
-//! and therefore materialise the trace. Validation is on by default
-//! (ill-formed traces make verdicts meaningless) and can be skipped
-//! with `--no-validate`; `rapid validate` runs the validator alone.
+//! multi-million-event logs; `causal` inherently replays and therefore
+//! materialises the trace, up to a fixed size limit. Validation is on
+//! by default (ill-formed traces make verdicts meaningless) and can be
+//! skipped with `--no-validate`; `rapid validate` runs the validator
+//! alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +34,7 @@ use aerodrome_suite::pipeline::Pipeline;
 use tracelog::binfmt::{self, AnySource, DEFAULT_CHUNK_EVENTS};
 use tracelog::stream::{copy_events, EventBatch, EventSource, SourceNames, DEFAULT_BATCH_EVENTS};
 use tracelog::{MetaInfo, SourceError, Trace, Validator, ValiditySummary};
-use velodrome::{Config, Strategy, VelodromeChecker};
+use velodrome::{Config, VelodromeChecker};
 
 /// A parsed command line.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,8 +59,8 @@ pub enum Command {
         /// Events per ingest batch; `None` uses the default (~4096).
         batch: Option<usize>,
     },
-    /// `rapid velodrome <trace.std> [--no-gc] [--pearce-kelly]
-    /// [--batch N] [--no-validate]`.
+    /// `rapid velodrome <trace.std> [--no-gc] [--batch N]
+    /// [--no-validate]`.
     Velodrome {
         /// Path of the trace log.
         path: String,
@@ -161,22 +162,6 @@ pub enum Command {
         which: u8,
         /// Per-run wall-clock budget.
         budget: Duration,
-    },
-    /// `rapid twophase <trace.std> [--phase-batch N] [--batch N]
-    /// [--no-validate]` — the DoubleChecker-style
-    /// imprecise-then-precise analysis. (`--batch` is the uniform
-    /// *ingest* batch; the phase-1 cycle-check period that used to be
-    /// called `--batch` is now `--phase-batch`.)
-    TwoPhase {
-        /// Path of the trace log.
-        path: String,
-        /// Phase-1 cycle-check batch size; `None` uses the documented
-        /// [`Config::DEFAULT_TWOPHASE_BATCH`] default.
-        phase_batch: Option<usize>,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
-        /// Run the streaming well-formedness pre-pass (default true).
-        validate: bool,
     },
     /// `rapid causal <trace.std> [--batch N] [--no-validate]` —
     /// per-transaction causal atomicity (oracle-based; quadratic, for
@@ -375,6 +360,10 @@ impl GenOverrides {
     }
 }
 
+/// Largest trace `rapid causal` accepts: its oracle is quadratic in the
+/// events, and the trace is held in memory.
+const CAUSAL_EVENT_LIMIT: usize = 20_000;
+
 /// Usage text.
 pub const USAGE: &str = "\
 rapid — atomicity checking on trace logs (AeroDrome reproduction)
@@ -383,8 +372,7 @@ USAGE:
     rapid metainfo  <trace.std> [--batch N]
     rapid aerodrome <trace.std> [--algorithm basic|readopt|optimized]
                     [--batch N] [--no-validate]   (alias: rapid check)
-    rapid velodrome <trace.std> [--no-gc] [--pearce-kelly]
-                    [--batch N] [--no-validate]
+    rapid velodrome <trace.std> [--no-gc] [--batch N] [--no-validate]
     rapid compare   <trace.std> [--jobs N] [--batch N] [--no-validate]
     rapid batch     <dir|manifest|trace.std> [--jobs N] [--batch N]
                     [--checker all|basic|readopt|optimized|velodrome]
@@ -400,8 +388,6 @@ USAGE:
                     [--seal] [--jobs N] [--out-format std|rbt]
     rapid table1    [--budget SECS]
     rapid table2    [--budget SECS]
-    rapid twophase  <trace.std> [--phase-batch N] [--batch N]
-                    [--no-validate]         (default phase batch: 256)
     rapid causal    <trace.std> [--batch N] [--no-validate]
     rapid explore   <builtin|program> [--max-schedules N] [--samples N]
                     [--seed N] [--out DIR] [--jobs N]
@@ -425,15 +411,15 @@ sidecars record identical text for both encodings of a trace.
 
 `--batch N` is uniform across every event-ingesting subcommand: events
 pulled per parser refill (default ~4096). It never changes verdicts,
-only call granularity. (`twophase`'s phase-1 cycle-check period, which
-this flag used to name, is now `--phase-batch`.)
+only call granularity.
 
-Checker analyses (aerodrome/check, velodrome, compare, batch, twophase,
-causal) stream the log through an incremental parser and, by default,
+Checker analyses (aerodrome/check, velodrome, compare, batch, causal)
+stream the log through an incremental parser and, by default,
 the Section 2 well-formedness validator (`--no-validate` skips it);
 `metainfo` is pure statistics and never validates. aerodrome/check,
 velodrome, compare and batch run in constant memory regardless of trace
-size; twophase and causal replay and so hold the whole trace in memory.
+size; causal replays and so holds the whole trace in memory, refusing
+traces over 20000 events.
 `compare` parses the log ONCE and fans the events out to all three
 AeroDrome variants plus Velodrome on `--jobs` worker threads (default:
 one per CPU), printing a per-checker verdict table. `batch` checks a
@@ -612,7 +598,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
             while i < args.len() {
                 match args[i].as_str() {
                     "--no-gc" => config.gc = false,
-                    "--pearce-kelly" => config.strategy = Strategy::PearceKelly,
                     "--batch" => batch = Some(batch_flag(args, &mut i)?),
                     "--no-validate" => validate = false,
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
@@ -746,10 +731,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                     "--profile" => {
                         profile = Some(flag_value(args, &mut i, "--profile")?.to_owned())
                     }
-                    "--events" => overrides.events = Some(num_flag(args, &mut i, "--events")?),
-                    "--threads" => overrides.threads = Some(num_flag(args, &mut i, "--threads")?),
+                    "--events" => overrides.events = Some(positive_flag(args, &mut i, "--events")?),
+                    "--threads" => {
+                        overrides.threads = Some(positive_flag(args, &mut i, "--threads")?);
+                    }
                     "--vars" => overrides.vars = Some(num_flag(args, &mut i, "--vars")?),
-                    "--locks" => overrides.locks = Some(num_flag(args, &mut i, "--locks")?),
+                    "--locks" => overrides.locks = Some(positive_flag(args, &mut i, "--locks")?),
                     "--seed" => overrides.seed = Some(num_flag(args, &mut i, "--seed")?),
                     "--violation-at" => {
                         overrides.violation_at = Some(num_flag(args, &mut i, "--violation-at")?);
@@ -801,28 +788,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                 i += 1;
             }
             Ok(Command::Table { which, budget })
-        }
-        "twophase" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("twophase requires a trace path".into()))?
-                .clone();
-            let mut phase_batch = None;
-            let mut batch = None;
-            let mut validate = true;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--phase-batch" => {
-                        phase_batch = Some(num_flag(args, &mut i, "--phase-batch")?);
-                    }
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--no-validate" => validate = false,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::TwoPhase { path, phase_batch, batch, validate })
         }
         "causal" => {
             let path = args
@@ -1594,44 +1559,19 @@ pub fn run(command: Command) -> Result<String, String> {
                 names.vars.len()
             ))
         }
-        Command::TwoPhase { path, phase_batch, batch, validate } => {
-            let config = Config {
-                twophase_batch: phase_batch.unwrap_or(Config::DEFAULT_TWOPHASE_BATCH),
-                ..Config::default()
-            };
-            let mut pipeline = Pipeline::new(open_source(&path)?)
-                .validate(validate)
-                .batch_events(batch.unwrap_or(DEFAULT_BATCH_EVENTS));
-            let run = pipeline
-                .run_twophase(&config)
-                .map_err(|e| source_err(&path, pipeline.source(), &e))?;
-            let report = &run.report;
-            let mut out = report_outcome(
-                "two-phase (imprecise + precise)",
-                &report.outcome,
-                &run.trace.names(),
-                report.phase1_events,
-                run.summary.as_ref(),
-            );
-            let _ = writeln!(
-                out,
-                "phase 1 scanned {} events; phase 2 re-scanned {} (batch {})",
-                report.phase1_events, report.phase2_events, config.twophase_batch
-            );
-            Ok(out)
-        }
         Command::Causal { path, validate, batch } => {
             let mut pipeline = Pipeline::new(open_source(&path)?)
                 .validate(validate)
                 .batch_events(batch.unwrap_or(DEFAULT_BATCH_EVENTS));
-            let (trace, _summary) =
-                pipeline.collect().map_err(|e| source_err(&path, pipeline.source(), &e))?;
-            if trace.len() > 20_000 {
+            let Some((trace, _summary)) = pipeline
+                .collect(CAUSAL_EVENT_LIMIT)
+                .map_err(|e| source_err(&path, pipeline.source(), &e))?
+            else {
                 return Err(format!(
-                    "causal analysis is quadratic; {} events is too large (limit 20000)",
-                    trace.len()
+                    "causal analysis is quadratic; the trace exceeds the limit of \
+                     {CAUSAL_EVENT_LIMIT} events"
                 ));
-            }
+            };
             let report = oracle::causal::analyze(&trace);
             let mut out = String::new();
             let _ = writeln!(
@@ -1949,12 +1889,11 @@ mod tests {
 
     #[test]
     fn parses_velodrome_flags() {
-        let cmd = parse_args(&args(&["velodrome", "t.std", "--no-gc", "--pearce-kelly"])).unwrap();
+        let cmd = parse_args(&args(&["velodrome", "t.std", "--no-gc"])).unwrap();
         match cmd {
             Command::Velodrome { config, validate, .. } => {
                 assert!(!config.gc);
                 assert!(validate);
-                assert_eq!(config.strategy, Strategy::PearceKelly);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2033,9 +1972,9 @@ mod tests {
         assert!(parse_args(&args(&["frobnicate"])).is_err());
         assert!(parse_args(&args(&["table1", "--bogus"])).is_err());
         assert!(parse_args(&args(&["generate", "o", "--events"])).is_err());
-        // The removed per-trace sharding, second-benchmark and
-        // chunk-parallel ingest surfaces are usage errors, never
-        // silently ignored.
+        // The removed per-trace sharding, second-benchmark,
+        // chunk-parallel ingest, two-phase and Pearce–Kelly surfaces are
+        // usage errors, never silently ignored.
         for argv in [
             &["check", "t.rbt", "--shards", "2"][..],
             &["check", "t.rbt", "--ingest-jobs", "2"],
@@ -2046,6 +1985,9 @@ mod tests {
             &["partition", "t.rbt"],
             &["benchdiff", "a.json", "b.json"],
             &["loadgen", "--bench-json", "x.json"],
+            &["twophase", "t.std"],
+            &["velodrome", "t.std", "--pearce-kelly"],
+            &["twophase", "t.std", "--phase-batch", "64"],
         ] {
             let err = parse_args(&args(argv)).unwrap_err();
             assert!(err.0.starts_with("unknown"), "{argv:?}: {err}");
@@ -2173,72 +2115,21 @@ mod twophase_causal_tests {
 
     #[test]
     fn parses_twophase_and_causal() {
-        // --phase-batch is the phase-1 cycle-check period; --batch is the
-        // uniform ingest batch.
-        let cmd = parse_args(&[
-            "twophase".into(),
-            "t.std".into(),
-            "--phase-batch".into(),
-            "64".into(),
-            "--batch".into(),
-            "512".into(),
-        ])
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::TwoPhase {
-                path: "t.std".into(),
-                phase_batch: Some(64),
-                batch: Some(512),
-                validate: true
-            }
-        );
-        // Without --phase-batch the documented Config default applies.
-        let cmd = parse_args(&["twophase".into(), "t.std".into()]).unwrap();
-        assert_eq!(
-            cmd,
-            Command::TwoPhase {
-                path: "t.std".into(),
-                phase_batch: None,
-                batch: None,
-                validate: true
-            }
-        );
-        let cmd = parse_args(&["causal".into(), "t.std".into()]).unwrap();
-        assert_eq!(cmd, Command::Causal { path: "t.std".into(), validate: true, batch: None });
-        assert!(parse_args(&["twophase".into()]).is_err());
+        let cmd =
+            parse_args(&["causal".into(), "t.std".into(), "--batch".into(), "512".into()]).unwrap();
+        assert_eq!(cmd, Command::Causal { path: "t.std".into(), validate: true, batch: Some(512) });
+        assert!(parse_args(&["causal".into()]).is_err());
     }
 
     #[test]
     fn twophase_and_causal_run_end_to_end() {
         let path = tmp("tp.std");
-        let rho2 = tracelog::paper_traces::rho2();
-        std::fs::write(&path, tracelog::write_trace(&rho2)).unwrap();
-
-        let out = run(Command::TwoPhase {
-            path: path.clone(),
-            phase_batch: Some(4),
-            batch: None,
-            validate: true,
-        })
-        .unwrap();
-        assert!(out.contains('✗'), "{out}");
-        assert!(out.contains("phase 1"));
-
-        let out = run(Command::Causal { path: path.clone(), validate: true, batch: None }).unwrap();
+        std::fs::write(&path, tracelog::write_trace(&tracelog::paper_traces::rho2())).unwrap();
+        let out = run(Command::Causal { path, validate: true, batch: None }).unwrap();
         assert!(out.contains("⋖-cycle"), "{out}");
 
-        // Serializable trace: both report clean.
         let path = tmp("tp_ok.std");
         std::fs::write(&path, tracelog::write_trace(&tracelog::paper_traces::rho1())).unwrap();
-        let out = run(Command::TwoPhase {
-            path: path.clone(),
-            phase_batch: None,
-            batch: None,
-            validate: true,
-        })
-        .unwrap();
-        assert!(out.contains('✓'));
         let out = run(Command::Causal { path, validate: true, batch: None }).unwrap();
         assert!(out.contains("causally atomic"));
     }
@@ -2251,7 +2142,8 @@ mod twophase_causal_tests {
             ..workloads::GenConfig::default()
         });
         std::fs::write(&path, tracelog::write_trace(&trace)).unwrap();
-        assert!(run(Command::Causal { path, validate: true, batch: None }).is_err());
+        let err = run(Command::Causal { path, validate: true, batch: None }).unwrap_err();
+        assert!(err.contains("limit of 20000 events"), "{err}");
     }
 
     #[test]
@@ -2785,7 +2677,6 @@ mod serve_cli_tests {
             &["batch", "dir"],
             &["validate", "t.std"],
             &["generate", "o.std"],
-            &["twophase", "t.std"],
             &["causal", "t.std"],
             &["serve"],
             &["loadgen"],
@@ -2795,6 +2686,21 @@ mod serve_cli_tests {
             argv.extend(args(&["--batch", "0"]));
             let err = parse_args(&argv).unwrap_err();
             assert!(err.0.contains("--batch must be positive"), "{base:?}: wrong error: {err}");
+        }
+        // The generators need a positive event budget, thread and lock
+        // count: a zero is a usage error, not a panic at generation time.
+        let zero_counts: &[(&[&str], &str)] = &[
+            (&["generate", "o.std", "--events", "0"], "--events"),
+            (&["generate", "o.std", "--threads", "0"], "--threads"),
+            (&["generate", "o.std", "--locks", "0"], "--locks"),
+            (&["generate", "o.std", "--profile", "convoy", "--events", "0"], "--events"),
+            (&["generate", "o.std", "--profile", "nesting", "--events", "0"], "--events"),
+            (&["generate", "o.std", "--profile", "xalan", "--events", "0"], "--events"),
+            (&["generate", "dir", "--corpus", "2", "--events", "0"], "--events"),
+        ];
+        for (argv, flag) in zero_counts {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert!(err.0.contains(&format!("{flag} must be positive")), "{argv:?}: {err}");
         }
     }
 }

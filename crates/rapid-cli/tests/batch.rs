@@ -64,17 +64,9 @@ fn parses_batch_command() {
 
 #[test]
 fn uniform_batch_flag_is_shared_by_every_ingesting_subcommand() {
-    for cmd in [
-        "metainfo",
-        "aerodrome",
-        "check",
-        "velodrome",
-        "compare",
-        "validate",
-        "twophase",
-        "causal",
-        "batch",
-    ] {
+    for cmd in
+        ["metainfo", "aerodrome", "check", "velodrome", "compare", "validate", "causal", "batch"]
+    {
         let parsed = parse_args(&args(&[cmd, "t.std", "--batch", "123"]));
         assert!(parsed.is_ok(), "{cmd}: {parsed:?}");
         let rejected = parse_args(&args(&[cmd, "t.std", "--batch", "0"]));

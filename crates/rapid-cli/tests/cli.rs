@@ -74,11 +74,8 @@ fn artifact_workflow_generate_metainfo_analyze() {
     let velo = run_ok(&["velodrome", path_s]);
     assert!(velo.contains('✗'));
     assert!(velo.contains("graph:"));
-    let velo_pk = run_ok(&["velodrome", path_s, "--pearce-kelly", "--no-gc"]);
-    assert!(velo_pk.contains('✗'));
-
-    let tp = run_ok(&["twophase", path_s, "--batch", "256"]);
-    assert!(tp.contains('✗'));
+    let velo_no_gc = run_ok(&["velodrome", path_s, "--no-gc"]);
+    assert!(velo_no_gc.contains('✗'));
 
     // `check` is the streaming default path (aerodrome optimized).
     let check = run_ok(&["check", path_s]);
@@ -164,12 +161,7 @@ fn serializable_trace_reports_clean_everywhere() {
     let path = tmpfile("clean.std");
     let path_s = path.to_str().unwrap();
     run_ok(&["generate", path_s, "--events", "1500", "--seed", "3"]);
-    for args in [
-        vec!["aerodrome", path_s],
-        vec!["velodrome", path_s],
-        vec!["twophase", path_s],
-        vec!["causal", path_s],
-    ] {
+    for args in [vec!["aerodrome", path_s], vec!["velodrome", path_s], vec!["causal", path_s]] {
         let text = run_ok(&args);
         assert!(text.contains('✓'), "{args:?}: {text}");
     }

@@ -703,20 +703,6 @@ impl ClockPool {
         }
     }
 
-    /// Resets `c` to `⊥` in place, keeping its buffer when it is the
-    /// slot's sole owner — the reuse pattern for cursor clocks that are
-    /// rebuilt many times (e.g. the two-phase chain-merge check).
-    #[inline]
-    pub fn clear(&mut self, c: &mut PoolClock) {
-        match std::mem::take(c) {
-            PoolClock::Full(id) if self.slots[id.index()].refs == 1 => {
-                self.slots[id.index()].buf.clear();
-                *c = PoolClock::Full(id);
-            }
-            other => self.release(other), // `c` stays ⊥
-        }
-    }
-
     /// A borrowed view of `c` for repeated component reads: resolves the
     /// slab indirection once so scan loops (update-set marking, the GC
     /// incoming-edge test) pay one pointer chase per clock, not per

@@ -9,18 +9,13 @@
 //! insertion that closes a cycle is a conflict-serializability violation
 //! (Definition 1).
 //!
-//! Each insertion triggers a reachability query over the current graph —
-//! the number of edges can grow quadratically with the trace, giving the
-//! overall cubic bound that motivates AeroDrome. Two mitigations from the
-//! literature are included:
-//!
-//! * **Garbage collection** ([`Config::gc`], on by default — the paper's
-//!   Velodrome implements it too): completed transactions with no
-//!   incoming edges cannot participate in cycles and are removed, with
-//!   cascading deletion of newly sourceless successors.
-//! * **Pearce–Kelly incremental topological ordering**
-//!   ([`Strategy::PearceKelly`], an ablation the paper does not have):
-//!   cheaper cycle checks on sparse graphs, same worst case.
+//! Each insertion triggers a depth-first reachability query over the
+//! current graph — the number of edges can grow quadratically with the
+//! trace, giving the overall cubic bound that motivates AeroDrome.
+//! **Garbage collection** ([`Config::gc`], on by default — the paper's
+//! Velodrome implements it too) keeps the graph small: completed
+//! transactions with no incoming edges cannot participate in cycles and
+//! are removed, with cascading deletion of newly sourceless successors.
 //!
 //! [`VelodromeChecker`] implements the same [`aerodrome::Checker`] trait
 //! as the vector-clock algorithms so the two families are benchmarked and
@@ -30,14 +25,13 @@
 #![warn(missing_docs)]
 
 mod checker;
-pub mod twophase;
 
-pub use checker::{Config, Strategy, VelodromeChecker, VelodromeStats};
+pub use checker::{Config, VelodromeChecker, VelodromeStats};
 
 /// The parallel runtime runs Velodrome on a worker thread next to the
 /// vector-clock checkers; the graph substrate (arena handles, DFS
-/// scratch, Pearce–Kelly state) must stay `Send`. Compile-time assert so
-/// a regression fails the build.
+/// scratch) must stay `Send`. Compile-time assert so a regression fails
+/// the build.
 #[allow(dead_code)]
 const fn assert_send<T: Send>() {}
 const _: () = assert_send::<VelodromeChecker>();

@@ -3,10 +3,10 @@
 //! This is the one event path of the suite. A [`Pipeline`] composes any
 //! [`EventSource`] (an incremental `.std` parse, an in-memory trace, a
 //! lazy workload generator) with the optional online well-formedness
-//! validator and drives any [`Checker`] — or the Velodrome two-phase
-//! analysis — over it. With a streaming source the whole run is constant
-//! memory: no `Trace` is ever materialised, which is what lets 10⁶–10⁷
-//! event logs exercise the paper's linear-time claim for real.
+//! validator and drives any [`Checker`] over it. With a streaming
+//! source the whole run is constant memory: no `Trace` is ever
+//! materialised, which is what lets 10⁶–10⁷ event logs exercise the
+//! paper's linear-time claim for real.
 //!
 //! Ingestion is batch-oriented: the pipeline pulls arena-backed
 //! [`EventBatch`]es, so boxed sources cost one virtual call per ~4096
@@ -55,8 +55,6 @@ use std::ops::ControlFlow;
 use aerodrome::{Checker, Outcome};
 use tracelog::stream::{EventBatch, EventSource, DEFAULT_BATCH_EVENTS};
 use tracelog::{SourceError, Trace, Validator, ValiditySummary};
-use velodrome::twophase::TwoPhaseReport;
-use velodrome::Config as VelodromeConfig;
 
 pub mod adversarial;
 pub mod multi;
@@ -156,19 +154,6 @@ pub struct PipelineReport {
     /// over the whole log; `None` when validation was disabled or the
     /// run stopped at a violation (the validator reads ahead of the
     /// checker, so a residue there would depend on timing).
-    pub summary: Option<ValiditySummary>,
-}
-
-/// The outcome of a [`Pipeline::run_twophase`].
-#[derive(Clone, Debug)]
-pub struct TwoPhaseRun {
-    /// Phase-1/phase-2 report (identical verdict to single-pass
-    /// Velodrome).
-    pub report: TwoPhaseReport,
-    /// The materialised trace the two passes ran over (two-phase
-    /// analysis inherently replays a prefix, so it cannot stream).
-    pub trace: Trace,
-    /// Validator residue, as in [`PipelineReport::summary`].
     pub summary: Option<ValiditySummary>,
 }
 
@@ -274,24 +259,32 @@ impl<S: EventSource> Pipeline<S> {
     }
 
     /// Drains the source (validating by default) into an in-memory
-    /// [`Trace`] — the bridge to the analyses that genuinely need random
-    /// access (the quadratic oracle, two-phase replay). Batch-driven
-    /// like [`Pipeline::run`]: events preceding a failure are collected,
-    /// then the error surfaces.
+    /// [`Trace`] of at most `limit` events — the bridge to the quadratic
+    /// analyses that need random access (the causal-atomicity oracle).
+    /// Returns `Ok(None)` as soon as event `limit + 1` arrives, so an
+    /// oversized log is refused after about `limit` events of ingest and
+    /// memory, not after all of it. Batch-driven like [`Pipeline::run`]:
+    /// events preceding a failure are collected, then the error surfaces.
     ///
     /// # Errors
     ///
     /// Propagates source failures and validation rejections.
-    pub fn collect(&mut self) -> Result<(Trace, Option<ValiditySummary>), SourceError> {
+    pub fn collect(
+        &mut self,
+        limit: usize,
+    ) -> Result<Option<(Trace, Option<ValiditySummary>)>, SourceError> {
         let mut validator = self.validate.then(Validator::new);
         let mut events = Vec::new();
         if let Some(n) = self.source.size_hint() {
-            events.reserve(usize::try_from(n).unwrap_or(0));
+            events.reserve(usize::try_from(n).unwrap_or(usize::MAX).min(limit));
         }
         let mut batch = EventBatch::with_target(self.batch_events);
         loop {
             let refill = self.source.next_batch(&mut batch);
             for &event in batch.events() {
+                if events.len() == limit {
+                    return Ok(None);
+                }
                 if let Some(v) = validator.as_mut() {
                     v.observe(event)?;
                 }
@@ -308,20 +301,7 @@ impl<S: EventSource> Pipeline<S> {
             names.locks.clone(),
             names.vars.clone(),
         );
-        Ok((trace, validator.map(Validator::finish)))
-    }
-
-    /// Runs the DoubleChecker-style two-phase Velodrome analysis; the
-    /// phase-1 batch size comes from
-    /// [`Config::twophase_batch`](velodrome::Config::twophase_batch).
-    ///
-    /// # Errors
-    ///
-    /// Propagates source failures and validation rejections.
-    pub fn run_twophase(&mut self, config: &VelodromeConfig) -> Result<TwoPhaseRun, SourceError> {
-        let (trace, summary) = self.collect()?;
-        let report = velodrome::twophase::check(&trace, config);
-        Ok(TwoPhaseRun { report, trace, summary })
+        Ok(Some((trace, validator.map(Validator::finish))))
     }
 }
 
@@ -361,7 +341,10 @@ mod tests {
 
         // A violation wins over an ill-formed event after it, at the
         // event the sequential reference reports, whatever the batching.
-        let (trace, _) = Pipeline::new(StdReader::new(VIOLATING.as_bytes())).collect().unwrap();
+        let (trace, _) = Pipeline::new(StdReader::new(VIOLATING.as_bytes()))
+            .collect(usize::MAX)
+            .unwrap()
+            .unwrap();
         let reference = run_checker(&mut OptimizedChecker::new(), &trace);
         let log = format!("{VIOLATING}t3|rel(m)|5\n");
         for batch in [1, 2, 4096] {
@@ -455,18 +438,22 @@ mod tests {
     #[test]
     fn collect_reproduces_the_trace() {
         let trace = paper_traces::rho2();
-        let (collected, summary) = Pipeline::new(trace.stream()).collect().unwrap();
+        let (collected, summary) =
+            Pipeline::new(trace.stream()).collect(trace.len()).unwrap().unwrap();
         assert_eq!(collected.events(), trace.events());
         assert!(summary.unwrap().is_closed());
+        assert!(Pipeline::new(trace.stream()).collect(trace.len() - 1).unwrap().is_none());
     }
 
     #[test]
-    fn twophase_run_agrees_with_direct_check() {
-        let trace = paper_traces::rho2();
-        let config = velodrome::Config::default();
-        let direct = velodrome::twophase::check(&trace, &config);
-        let run = Pipeline::new(trace.stream()).run_twophase(&config).unwrap();
-        assert_eq!(run.report, direct);
-        assert_eq!(run.trace.len(), trace.len());
+    fn collect_stops_pulling_past_its_limit() {
+        // A million-event source refused at 20k events: ingest must stop
+        // within one batch of the limit, not drain the source.
+        let cfg = workloads::GenConfig { events: 1_000_000, ..workloads::GenConfig::default() };
+        let source = Counting { inner: workloads::GenSource::new(&cfg), refills: 0 };
+        let mut pipeline = Pipeline::new(source);
+        assert!(pipeline.collect(20_000).unwrap().is_none());
+        let refills = pipeline.source().refills;
+        assert!(refills <= 20_000 / DEFAULT_BATCH_EVENTS + 1, "{refills} refills");
     }
 }

@@ -18,8 +18,7 @@ fn tmp(name: &str) -> std::path::PathBuf {
 /// A closed, well-formed working-set trace with some lock traffic.
 fn seed_trace() -> Trace {
     let cfg = GenConfig { events: 8_000, threads: 6, vars: 24, seed: 13, ..GenConfig::default() };
-    let (trace, _) = aerodrome_suite::Pipeline::new(GenSource::new(&cfg)).collect().unwrap();
-    trace
+    generate(&cfg)
 }
 
 /// Fuzzes `trace` until the mutator produces an *ill-formed* mutant.

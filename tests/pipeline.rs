@@ -104,19 +104,6 @@ fn shapes_are_serializable_under_every_checker() {
     }
 }
 
-#[test]
-fn pipeline_twophase_agrees_with_velodrome_on_profiles() {
-    for name in ["hedc", "philo"] {
-        let profile = workloads::table1().into_iter().find(|p| p.name == name).unwrap();
-        let cfg = GenConfig { events: profile.cfg.events.min(3_000), ..profile.cfg };
-        let trace = generate(&cfg);
-        let config = velodrome::Config::default();
-        let run = Pipeline::new(trace.stream()).run_twophase(&config).unwrap();
-        let single = run_checker(&mut VelodromeChecker::new(), &trace);
-        assert_eq!(run.report.outcome.is_violation(), single.is_violation(), "{name}");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
