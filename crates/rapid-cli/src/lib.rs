@@ -28,7 +28,7 @@ use aerodrome::basic::BasicChecker;
 use aerodrome::optimized::OptimizedChecker;
 use aerodrome::readopt::ReadOptChecker;
 use aerodrome::{Checker, Outcome};
-use aerodrome_suite::pipeline::multi::{self, MultiConfig};
+use aerodrome_suite::pipeline::multi;
 use aerodrome_suite::pipeline::par::{self, CheckerRun, ParConfig, SendChecker};
 use aerodrome_suite::pipeline::Pipeline;
 use tracelog::binfmt::{self, AnySource, DEFAULT_CHUNK_EVENTS};
@@ -425,8 +425,8 @@ AeroDrome variants plus Velodrome on `--jobs` worker threads (default:
 one per CPU), printing a per-checker verdict table. `batch` checks a
 whole CORPUS — a directory walked for *.std, a manifest listing one
 trace per line, or a single log — through resident worker sessions
-(checkers, parser and validator constructed once per worker, reused
-trace to trace); exit is non-zero on any violation, ingest error or
+(checkers and validator constructed once per worker, reused trace to
+trace); exit is non-zero on any violation, ingest error or
 seal mismatch. With `--seal-verify`, each trace's verdicts are diffed
 against its `<trace>.std.expect` sidecar instead: sealed violations are
 expected, and only mismatches or missing sidecars fail. `generate`
@@ -1114,13 +1114,22 @@ fn write_sealed_std(dir: &str, file: &str, trace: &Trace, jobs: usize) -> Result
 /// Reports a missing sidecar, a checking failure, or a mismatch (with
 /// both texts inline) as a display string.
 pub fn verify_seal(path: &str, jobs: usize) -> Result<(), String> {
+    check_seal(path, || compute_seal(path, jobs))
+}
+
+/// The one sealed-text check, behind [`verify_seal`] and `rapid batch
+/// --seal-verify`: reads the sidecar sealed next to `path`, then diffs
+/// the text `fresh` renders against it. A missing sidecar fails before
+/// `fresh` runs; a mismatch reports both texts, the first line naming
+/// the divergence.
+fn check_seal(path: &str, fresh: impl FnOnce() -> Result<String, String>) -> Result<(), String> {
     let sidecar = seal_sidecar_path(path);
     let sealed = std::fs::read_to_string(&sidecar).map_err(|e| format!("{sidecar}: {e}"))?;
-    let fresh = compute_seal(path, jobs)?;
+    let fresh = fresh()?;
     if sealed == fresh {
         Ok(())
     } else {
-        Err(format!("{path}: sealed verdicts diverge\n--- sealed\n{sealed}--- fresh\n{fresh}"))
+        Err(format!("sealed verdicts diverge\n--- sealed\n{sealed}--- fresh\n{fresh}"))
     }
 }
 
@@ -1266,7 +1275,7 @@ pub fn run(command: Command) -> Result<String, String> {
         }
         Command::Batch { path, jobs, batch, checker, seal_verify, validate } => {
             let paths = multi::discover(Path::new(&path))?;
-            let mut config = MultiConfig::default().jobs(jobs).validate(validate);
+            let mut config = ParConfig::default().jobs(jobs).validate(validate);
             if let Some(b) = batch {
                 config = config.batch_events(b);
             }
@@ -1278,22 +1287,11 @@ pub fn run(command: Command) -> Result<String, String> {
                 .traces
                 .iter()
                 .map(|t| {
-                    if !seal_verify || t.error.is_some() {
-                        return None;
-                    }
-                    let sidecar = seal_sidecar_path(&t.path.to_string_lossy());
-                    let sealed = match std::fs::read_to_string(&sidecar) {
-                        Ok(s) => s,
-                        Err(e) => return Some(Err(format!("{sidecar}: {e}"))),
-                    };
-                    let fresh = seal_text(t.events, t.threads, t.locks, t.vars, &t.runs);
-                    if sealed == fresh {
-                        Some(Ok(()))
-                    } else {
-                        Some(Err(format!(
-                            "sealed verdicts diverge\n--- sealed\n{sealed}--- fresh\n{fresh}"
-                        )))
-                    }
+                    (seal_verify && t.error.is_none()).then(|| {
+                        check_seal(&t.path.to_string_lossy(), || {
+                            Ok(seal_text(t.events, t.threads, t.locks, t.vars, &t.runs))
+                        })
+                    })
                 })
                 .collect();
 

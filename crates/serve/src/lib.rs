@@ -34,8 +34,8 @@
 //! Verdict fidelity is the design invariant everything here preserves:
 //! a trace streamed over the socket produces **bit-identical** verdicts
 //! to `rapid check` / `rapid compare` on the same events, because the
-//! session drives the same checkers through the same
-//! `pipeline::feed_panel` loop the offline runtimes use.
+//! session drives the same checkers through the same `pipeline::Panel`
+//! the offline runtimes use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -36,7 +36,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
-use aerodrome_suite::pipeline::par::{standard_checkers, SendChecker};
+use aerodrome_suite::pipeline::par::standard_checkers;
 use tracelog::stream::DEFAULT_BATCH_EVENTS;
 
 use crate::protocol::{encode_stats, put_frame, FrameBuf, Kind, StatsFrame};
@@ -165,7 +165,6 @@ pub struct Server {
     listener: TcpListener,
     config: ServeConfig,
     shared: Arc<Shared>,
-    make_panel: Arc<dyn Fn() -> Vec<SendChecker> + Send + Sync>,
 }
 
 impl std::fmt::Debug for Server {
@@ -183,23 +182,10 @@ impl Server {
     ///
     /// Propagates bind failures.
     pub fn bind(addr: impl ToSocketAddrs, config: ServeConfig) -> io::Result<Self> {
-        Self::bind_with(addr, config, Arc::new(standard_checkers))
-    }
-
-    /// [`Server::bind`] with a custom per-session checker panel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn bind_with(
-        addr: impl ToSocketAddrs,
-        config: ServeConfig,
-        make_panel: Arc<dyn Fn() -> Vec<SendChecker> + Send + Sync>,
-    ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared::new(config.effective_jobs()));
-        Ok(Self { listener, config, shared, make_panel })
+        Ok(Self { listener, config, shared })
     }
 
     /// The bound address (read the ephemeral port here).
@@ -237,11 +223,10 @@ impl Server {
             senders.push(tx);
             let shared = Arc::clone(&self.shared);
             let config = self.config.clone();
-            let make_panel = Arc::clone(&self.make_panel);
             joins.push(
                 thread::Builder::new()
                     .name(format!("serve-worker-{index}"))
-                    .spawn(move || worker_main(index, &rx, &shared, &config, &*make_panel))
+                    .spawn(move || worker_main(index, &rx, &shared, &config))
                     .expect("spawn worker thread"),
             );
         }
@@ -425,13 +410,7 @@ impl Conn {
 
 /// Configures a freshly admitted socket and wraps it in a [`Conn`];
 /// `None` (socket options failed) undoes the admission accounting.
-fn admit(
-    index: usize,
-    stream: TcpStream,
-    shared: &Shared,
-    config: &ServeConfig,
-    make_panel: &(dyn Fn() -> Vec<SendChecker> + Send + Sync),
-) -> Option<Conn> {
+fn admit(index: usize, stream: TcpStream, shared: &Shared, config: &ServeConfig) -> Option<Conn> {
     if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
         shared.conn_counts[index].fetch_sub(1, Ordering::Relaxed);
         shared.sessions.fetch_sub(1, Ordering::Relaxed);
@@ -439,7 +418,7 @@ fn admit(
     }
     Some(Conn {
         stream,
-        session: Session::new(make_panel(), config.validate, config.batch_events),
+        session: Session::new(standard_checkers(), config.validate, config.batch_events),
         frames: FrameBuf::new(),
         outbuf: Vec::new(),
         out_pos: 0,
@@ -455,7 +434,6 @@ fn worker_main(
     rx: &mpsc::Receiver<TcpStream>,
     shared: &Shared,
     config: &ServeConfig,
-    make_panel: &(dyn Fn() -> Vec<SendChecker> + Send + Sync),
 ) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
@@ -463,7 +441,7 @@ fn worker_main(
         let mut progressed = false;
         // Admission.
         while let Ok(stream) = rx.try_recv() {
-            conns.extend(admit(index, stream, shared, config, make_panel));
+            conns.extend(admit(index, stream, shared, config));
             progressed = true;
         }
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -502,7 +480,7 @@ fn worker_main(
                 // disconnect means the acceptor is gone — clean exit.
                 match rx.recv_timeout(Duration::from_millis(10)) {
                     Ok(stream) => {
-                        conns.extend(admit(index, stream, shared, config, make_panel));
+                        conns.extend(admit(index, stream, shared, config));
                     }
                     Err(mpsc::RecvTimeoutError::Disconnected) => break,
                     Err(mpsc::RecvTimeoutError::Timeout) => {}

@@ -1,12 +1,12 @@
 //! One live trace session: the per-connection protocol state machine.
 //!
 //! A [`Session`] owns exactly the resident state a `pipeline::multi`
-//! worker owns — a checker panel, a validator, a reusable
-//! [`EventBatch`] arena and the three name tables — and advances it one
-//! *frame* at a time instead of one file at a time. It is pure with
-//! respect to I/O: the server (and the tests) hand it decoded frames
-//! and collect the bytes it wants sent back, so every protocol rule
-//! here is exercised without a socket.
+//! worker owns — a [`Panel`] (checkers, verdict slots, validator) and a
+//! reusable [`EventBatch`] arena — plus the three name tables, and
+//! advances it one *frame* at a time instead of one file at a time. It
+//! is pure with respect to I/O: the server (and the tests) hand it
+//! decoded frames and collect the bytes it wants sent back, so every
+//! protocol rule here is exercised without a socket.
 //!
 //! The state machine (normative version in `docs/SERVICE.md`):
 //!
@@ -20,14 +20,13 @@
 //! this module produced — with frame and event attribution — and closes
 //! that one connection; neighbouring sessions never observe it.
 //! Verdicts are pushed the moment a checker fires mid-batch
-//! ([`pipeline::feed_panel`]'s `on_violation` hook), not at end of
+//! ([`Panel::feed`]'s `on_violation` hook), not at end of
 //! trace — the online half of the paper's claim, surfaced on the wire.
 
-use aerodrome::Violation;
-use aerodrome_suite::pipeline::{self, par::SendChecker};
+use aerodrome_suite::pipeline::{par::SendChecker, Panel};
 use tracelog::stream::{EventBatch, SourceNames};
 use tracelog::wire::{self, IdBounds};
-use tracelog::{Interner, Validator};
+use tracelog::Interner;
 
 use crate::protocol::{
     self, encode_error, encode_summary, encode_verdict, put_frame, ErrorCode, ErrorFrame, Kind,
@@ -60,10 +59,7 @@ enum State {
 
 /// A resident checking session bound to one connection.
 pub struct Session {
-    checkers: Vec<SendChecker>,
-    violations: Vec<Option<Violation>>,
-    validator: Validator,
-    validate: bool,
+    panel: Panel,
     batch: EventBatch,
     threads: Interner,
     locks: Interner,
@@ -94,12 +90,8 @@ impl Session {
     /// Creates a session owning `checkers` as its panel.
     #[must_use]
     pub fn new(checkers: Vec<SendChecker>, validate: bool, batch_events: usize) -> Self {
-        let violations = vec![None; checkers.len()];
         Self {
-            checkers,
-            violations,
-            validator: Validator::new(),
-            validate,
+            panel: Panel::new(checkers, validate),
             batch: EventBatch::with_target(batch_events),
             threads: Interner::new(),
             locks: Interner::new(),
@@ -134,7 +126,7 @@ impl Session {
     /// the server sums against its `--max-retained-bytes` budget.
     #[must_use]
     pub fn retained_bytes(&self) -> u64 {
-        self.checkers.iter().map(|c| c.report().clocks.retained_bytes as u64).sum()
+        self.panel.retained_bytes()
     }
 
     /// Idle eviction: drops all retained storage (reset + trim to
@@ -147,9 +139,7 @@ impl Session {
     pub fn evict_idle(&mut self) {
         debug_assert!(!self.mid_trace, "idle eviction on a live trace");
         self.reset_for_next_trace();
-        for checker in &mut self.checkers {
-            checker.trim(0);
-        }
+        self.panel.trim(0);
     }
 
     /// Mid-trace eviction: appends the documented `EVICTED` error frame
@@ -240,16 +230,12 @@ impl Session {
         // truncated to the well-formed prefix, the checkers see exactly
         // that prefix (the offline pipelines' contract), and the error
         // frame carries the event index.
-        let validation = if self.validate {
-            pipeline::validate_batch(&mut self.validator, &mut self.batch)
-        } else {
-            None
-        };
+        let validation = self.panel.validate(&mut self.batch);
         // Destructured so the verdict hook can render names while the
         // panel is mutably borrowed.
-        let Self { checkers, violations, batch, threads, locks, vars, .. } = self;
+        let Self { panel, batch, threads, locks, vars, .. } = self;
         let names = SourceNames { threads, locks, vars };
-        pipeline::feed_panel(checkers, violations, batch, |checker, violation| {
+        panel.feed(batch, |checker, violation| {
             let frame = VerdictFrame {
                 checker: u16::try_from(checker).expect("panel is small"),
                 event: violation.event.index() as u64,
@@ -291,13 +277,13 @@ impl Session {
     /// for the warm zero-alloc probe.
     fn summary(&self) -> SummaryFrame {
         let runs = self
-            .checkers
-            .iter()
-            .zip(&self.violations)
-            .map(|(checker, violation)| SummaryRun {
-                name: checker.name().to_owned(),
-                violation: violation.as_ref().map(|v| v.event.index() as u64),
-                clock_allocs: checker.report().clocks.heap_allocs(),
+            .panel
+            .runs()
+            .into_iter()
+            .map(|run| SummaryRun {
+                name: run.name.to_owned(),
+                violation: run.outcome.violation().map(|v| v.event.index() as u64),
+                clock_allocs: run.report.clocks.heap_allocs(),
             })
             .collect();
         SummaryFrame {
@@ -309,17 +295,12 @@ impl Session {
         }
     }
 
-    /// The between-traces session reset: exactly the `pipeline::multi`
-    /// seams — checkers keep their recycled clock buffers (capped by the
-    /// reset's default retention), the validator and name tables keep
-    /// their capacity. The next trace on this connection reuses all of
-    /// it; from the second trace on, clock heap allocations are zero.
+    /// The between-traces session reset: [`Panel::reset`], as in a
+    /// `pipeline::multi` worker, and the name tables keep their
+    /// capacity. The next trace on this connection reuses all of it;
+    /// from the second trace on, clock heap allocations are zero.
     fn reset_for_next_trace(&mut self) {
-        for checker in &mut self.checkers {
-            checker.reset();
-        }
-        self.violations.iter_mut().for_each(|v| *v = None);
-        self.validator.reset();
+        self.panel.reset();
         self.threads.clear();
         self.locks.clear();
         self.vars.clear();

@@ -11,8 +11,7 @@
 //! * a growable [`Trace`] container and ergonomic [`TraceBuilder`]
 //!   ([`trace`]),
 //! * well-formedness validation per the paper's assumptions, both batch
-//!   ([`validate::validate`]) and as a streaming stage
-//!   ([`validate::Validator`], [`stream::Validated`]),
+//!   ([`validate::validate`]) and streaming ([`validate::Validator`]),
 //! * transaction segmentation, including nested and unary transactions
 //!   ([`txn`]),
 //! * the RAPID-style `.std` text format ([`parser`]), and the streaming

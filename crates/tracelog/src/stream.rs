@@ -14,11 +14,11 @@
 //!   so there is exactly one parser.
 //! * [`TraceSource`] — an adapter replaying an in-memory [`Trace`]
 //!   (see [`Trace::stream`]).
-//! * [`Validated`] — the Section 2 well-formedness validator as an online
-//!   filter stage wrapping any inner source.
 //!
 //! Generator-backed sources live in the `workloads` crate; the umbrella
-//! crate's `pipeline` module composes source → validator → checker.
+//! crate's `pipeline` module composes source → validator → checker,
+//! running the Section 2 [`Validator`](crate::Validator) over each batch
+//! it pulls.
 //!
 //! # Batches
 //!
@@ -56,7 +56,7 @@ use std::io::{self, BufRead, Write};
 use crate::ids::{Interner, LockId, ThreadId, VarId};
 use crate::parser::{parse_event_line, ParseTraceError};
 use crate::trace::{Event, Op, Trace};
-use crate::validate::{Validator, ValiditySummary, WellFormedError};
+use crate::validate::WellFormedError;
 
 /// An error while pulling events out of a source.
 #[derive(Debug)]
@@ -65,7 +65,8 @@ pub enum SourceError {
     Io(io::Error),
     /// A line of the `.std` format did not parse.
     Parse(ParseTraceError),
-    /// A [`Validated`] stage rejected an event as ill-formed.
+    /// The well-formedness [`Validator`](crate::Validator) rejected an
+    /// event as ill-formed.
     Malformed(WellFormedError),
     /// A `.rbt` binary trace was structurally invalid
     /// (see [`crate::binfmt`]).
@@ -490,22 +491,6 @@ impl<R: BufRead> StdReader<R> {
     pub fn into_names(self) -> (Interner, Interner, Interner) {
         (self.threads, self.locks, self.vars)
     }
-
-    /// Session reset onto a new input: the parser restarts from line 1
-    /// with empty name tables while the line buffer, the attribution
-    /// window and the interner capacity stay warm. This is how a resident
-    /// worker reads an unbounded stream of trace files through one
-    /// reader session instead of constructing a parser per trace.
-    pub fn reset(&mut self, reader: R) {
-        self.reader = reader;
-        self.threads.clear();
-        self.locks.clear();
-        self.vars.clear();
-        self.line = 0;
-        self.done = false;
-        self.events = 0;
-        self.recent_lines.clear();
-    }
 }
 
 impl<R: BufRead> StdReader<R> {
@@ -711,107 +696,6 @@ impl Trace {
     }
 }
 
-/// An online well-formedness filter: passes events through unchanged,
-/// failing with [`SourceError::Malformed`] at the first event violating
-/// the Section 2 assumptions (the streaming form of [`crate::validate()`]).
-#[derive(Debug)]
-pub struct Validated<S> {
-    inner: S,
-    validator: Validator,
-    /// Latched after the first ill-formed event: the validator's state
-    /// no longer describes the stream, and in batch mode the inner
-    /// source has been consumed past the failure, so resuming would
-    /// silently drop events. Errors are fatal, as in [`StdReader`].
-    done: bool,
-}
-
-impl<S: EventSource> Validated<S> {
-    /// Wraps `inner` with a fresh validator.
-    #[must_use]
-    pub fn new(inner: S) -> Self {
-        Self { inner, validator: Validator::new(), done: false }
-    }
-
-    /// The residual open-transaction / held-lock state observed so far.
-    #[must_use]
-    pub fn summary(&self) -> ValiditySummary {
-        self.validator.summary()
-    }
-
-    /// The wrapped validator.
-    #[must_use]
-    pub fn validator(&self) -> &Validator {
-        &self.validator
-    }
-
-    /// Unwraps the inner source.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    /// Session reset: clears the validator state and the fatal-error
-    /// latch so the stage can validate another input. The caller is
-    /// responsible for having reset (or replaced) the inner source to a
-    /// fresh input first — e.g. via [`StdReader::reset`].
-    pub fn reset(&mut self) {
-        self.validator.reset();
-        self.done = false;
-    }
-}
-
-impl<S: EventSource> EventSource for Validated<S> {
-    fn next_event(&mut self) -> Result<Option<Event>, SourceError> {
-        if self.done {
-            return Ok(None);
-        }
-        match self.inner.next_event()? {
-            Some(event) => {
-                if let Err(e) = self.validator.observe(event) {
-                    self.done = true;
-                    return Err(e.into());
-                }
-                Ok(Some(event))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Native batch validation: pulls one inner batch, then validates it
-    /// in a single pass. An ill-formed event truncates the batch to the
-    /// well-formed prefix and surfaces as [`SourceError::Malformed`] —
-    /// exactly the events per-event iteration would have yielded first.
-    /// The error is fatal: the inner source was consumed past the
-    /// failure, so resuming would drop the rest of the failing batch;
-    /// later calls report end-of-stream instead.
-    fn next_batch(&mut self, batch: &mut EventBatch) -> Result<usize, SourceError> {
-        if self.done {
-            batch.clear();
-            return Ok(0);
-        }
-        let inner = self.inner.next_batch(batch);
-        for (i, &event) in batch.events().iter().enumerate() {
-            if let Err(e) = self.validator.observe(event) {
-                self.done = true;
-                batch.truncate(i);
-                return Err(e.into());
-            }
-        }
-        inner
-    }
-
-    fn names(&self) -> SourceNames<'_> {
-        self.inner.names()
-    }
-
-    fn size_hint(&self) -> Option<u64> {
-        self.inner.size_hint()
-    }
-
-    fn position_of(&self, event: crate::EventId) -> Option<String> {
-        self.inner.position_of(event)
-    }
-}
-
 /// Drains a source into an in-memory [`Trace`].
 ///
 /// This is the bridge from the streaming world back to the batch one.
@@ -947,22 +831,6 @@ mod tests {
     }
 
     #[test]
-    fn validated_passes_well_formed_and_rejects_ill_formed() {
-        let trace = sample();
-        let mut ok = Validated::new(trace.stream());
-        while let Some(e) = ok.next_event().unwrap() {
-            let _ = e;
-        }
-        assert!(ok.summary().is_closed());
-
-        let mut v = Validated::new(StdReader::new("t1|rel(m)|0\n".as_bytes()));
-        match v.next_event() {
-            Err(SourceError::Malformed(WellFormedError::ReleaseOfUnheldLock { .. })) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn source_names_render_events() {
         let trace = sample();
         let names = trace.names();
@@ -1020,20 +888,6 @@ mod tests {
             streamed.extend_from_slice(batch.events());
         }
         assert_eq!(streamed.as_slice(), trace.events());
-    }
-
-    #[test]
-    fn validated_batch_truncates_to_the_well_formed_prefix() {
-        let log = "t1|begin|0\nt1|w(x)|1\nt1|rel(m)|2\n";
-        let mut v = Validated::new(StdReader::new(log.as_bytes()));
-        let mut batch = EventBatch::new();
-        let err = v.next_batch(&mut batch).unwrap_err();
-        assert!(matches!(err, SourceError::Malformed(WellFormedError::ReleaseOfUnheldLock { .. })));
-        assert_eq!(batch.len(), 2, "well-formed prefix preserved");
-        // The error latches: the inner source was consumed past the
-        // failure, so resuming would silently skip events.
-        assert_eq!(v.next_batch(&mut batch).unwrap(), 0);
-        assert!(v.next_event().unwrap().is_none());
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod prelude {
     pub use aerodrome::optimized::OptimizedChecker;
     pub use aerodrome::readopt::ReadOptChecker;
     pub use aerodrome::{run_checker, Checker, Outcome, Violation, ViolationKind};
-    pub use tracelog::stream::{collect_trace, Validated};
+    pub use tracelog::stream::collect_trace;
     pub use tracelog::{
         parse_trace, validate, write_trace, Event, EventId, EventSource, LockId, MetaInfo, Op,
         SourceError, StdReader, ThreadId, Trace, TraceBuilder, Validator, VarId,

@@ -19,7 +19,9 @@
 //! ingested at most a few batches past it. The [`multi`] submodule
 //! lifts the discipline one level up: a corpus scheduler driving an
 //! unbounded stream of traces through *resident* checker sessions
-//! (`rapid batch`) — see their docs.
+//! (`rapid batch`) — see their docs. A [`Panel`] is the checker state
+//! those runtimes and the service own: checkers, verdict slots and the
+//! optional validator, fed batch by batch and reset between traces.
 //!
 //! Validation is **on by default**: the checkers assume the Section 2
 //! well-formedness conditions, so verdicts on ill-formed traces are
@@ -52,25 +54,25 @@
 
 use std::ops::ControlFlow;
 
-use aerodrome::{Checker, Outcome};
+use aerodrome::{Checker, Outcome, Violation};
 use tracelog::stream::{EventBatch, EventSource, DEFAULT_BATCH_EVENTS};
-use tracelog::{SourceError, Trace, Validator, ValiditySummary};
+use tracelog::{SourceError, Trace, Validator, ValiditySummary, WellFormedError};
+
+use par::{CheckerRun, SendChecker};
 
 pub mod adversarial;
 pub mod multi;
 pub mod par;
 
-/// One ingest step's validation, shared by the [`par`] fan-out, the
-/// [`multi`] corpus scheduler and the serving runtime so their
-/// valid-prefix semantics cannot drift: runs the validator over `batch`
-/// in order and, at the first ill-formed event, truncates the batch to
-/// the well-formed prefix and returns the error. The contract all the
-/// runtimes rely on — checkers see exactly the events per-event
-/// iteration would have yielded before the failure — lives here once.
+/// Runs `validator` over `batch` in order and, at the first ill-formed
+/// event, truncates the batch to the well-formed prefix and returns the
+/// error — the valid-prefix contract every runtime relies on: checkers
+/// see exactly the events per-event iteration would have yielded before
+/// the failure.
 pub fn validate_batch(
     validator: &mut Validator,
     batch: &mut EventBatch,
-) -> Option<tracelog::WellFormedError> {
+) -> Option<WellFormedError> {
     for (i, &event) in batch.events().iter().enumerate() {
         if let Err(e) = validator.observe(event) {
             batch.truncate(i);
@@ -80,43 +82,121 @@ pub fn validate_batch(
     None
 }
 
-/// One batch's worth of the resident worker loop, shared by the
-/// [`multi`] corpus scheduler and the serving runtime: feeds `batch` to
-/// every checker of a panel that has not already fired, latching each
-/// checker's first [`aerodrome::Violation`] into its `violations`
-/// slot. A checker
-/// that fires *during this call* is reported through `on_violation`
-/// with its panel index — the hook the service uses to push a verdict
-/// frame back to the client mid-stream, the moment the online checker
-/// detects it, rather than at EOF.
+/// One ingest step, shared by the [`par`] fan-out and the [`multi`]
+/// corpus scheduler: refills `batch` from `source`, then runs `validate`
+/// over it (e.g. [`Panel::validate`]). Returns whether the source may
+/// hold more events; on `Err` the batch holds the events before the
+/// failure, ready to feed. An ill-formed event inside the batch wins
+/// over a source failure past its end, so the earlier error is the one
+/// reported.
 ///
-/// Semantics match [`par::check_all`] and single-checker
-/// [`Pipeline::run`] exactly: every checker stops individually at its
-/// first violation and sees every event up to it in trace order, so a
-/// panel fed batch-by-batch through this function produces verdicts
-/// bit-identical to fresh one-shot runs.
+/// # Errors
 ///
-/// # Panics
+/// The validation failure as [`SourceError::Malformed`], else the
+/// source's own failure.
+pub fn refill<S: EventSource + ?Sized>(
+    source: &mut S,
+    batch: &mut EventBatch,
+    validate: impl FnOnce(&mut EventBatch) -> Option<WellFormedError>,
+) -> Result<bool, SourceError> {
+    let refilled = source.next_batch(batch);
+    if let Some(e) = validate(batch) {
+        return Err(e.into());
+    }
+    Ok(refilled? > 0)
+}
+
+/// A checker panel: the checkers, one verdict slot per checker and the
+/// optional online validator — the resident state a [`par`] worker, a
+/// [`multi`] session and a service connection each own outright, feed
+/// batch by batch and reset between traces.
 ///
-/// Panics if `violations.len() != checkers.len()`.
-pub fn feed_panel(
-    checkers: &mut [par::SendChecker],
-    violations: &mut [Option<aerodrome::Violation>],
-    batch: &EventBatch,
-    mut on_violation: impl FnMut(usize, &aerodrome::Violation),
-) {
-    assert_eq!(checkers.len(), violations.len(), "one violation slot per checker");
-    for (i, (checker, violation)) in checkers.iter_mut().zip(violations.iter_mut()).enumerate() {
-        if violation.is_some() {
-            continue;
-        }
-        for &event in batch.events() {
-            if let Err(v) = checker.process(event) {
-                on_violation(i, &v);
-                *violation = Some(v);
-                break;
+/// Every checker stops individually at its first violation and sees
+/// every event up to it in trace order, so a panel fed batch by batch
+/// produces verdicts bit-identical to fresh one-shot runs of
+/// [`par::check_all`] or single-checker [`Pipeline::run`].
+pub struct Panel {
+    checkers: Vec<SendChecker>,
+    violations: Vec<Option<Violation>>,
+    validator: Option<Validator>,
+}
+
+impl Panel {
+    /// A panel over `checkers`, validating (when `validate` is on) with
+    /// its own [`Validator`].
+    #[must_use]
+    pub fn new(checkers: Vec<SendChecker>, validate: bool) -> Self {
+        let violations = vec![None; checkers.len()];
+        Self { checkers, violations, validator: validate.then(Validator::new) }
+    }
+
+    /// Validates `batch` as [`validate_batch`] does; `None` without a
+    /// validator.
+    pub fn validate(&mut self, batch: &mut EventBatch) -> Option<WellFormedError> {
+        self.validator.as_mut().and_then(|v| validate_batch(v, batch))
+    }
+
+    /// Feeds `batch` to every checker that has not fired yet, latching
+    /// each checker's first [`Violation`]. A checker that fires *during
+    /// this call* is reported through `on_violation` with its panel
+    /// index — the hook the service uses to push a verdict frame the
+    /// moment the online checker detects it, rather than at EOF.
+    pub fn feed(&mut self, batch: &EventBatch, mut on_violation: impl FnMut(usize, &Violation)) {
+        for (i, (checker, violation)) in
+            self.checkers.iter_mut().zip(&mut self.violations).enumerate()
+        {
+            if violation.is_some() {
+                continue;
+            }
+            for &event in batch.events() {
+                if let Err(v) = checker.process(event) {
+                    on_violation(i, &v);
+                    *violation = Some(v);
+                    break;
+                }
             }
         }
+    }
+
+    /// Session reset for the next trace: checkers keep their recycled
+    /// clock buffers (capped by [`Checker::reset`]'s default retention),
+    /// verdict slots clear, and the validator keeps its table capacity.
+    pub fn reset(&mut self) {
+        for checker in &mut self.checkers {
+            checker.reset();
+        }
+        self.violations.fill(None);
+        if let Some(v) = self.validator.as_mut() {
+            v.reset();
+        }
+    }
+
+    /// Trims every checker's retained clock storage to `bytes`
+    /// ([`Checker::trim`]).
+    pub fn trim(&mut self, bytes: usize) {
+        for checker in &mut self.checkers {
+            checker.trim(bytes);
+        }
+    }
+
+    /// Clock bytes the panel currently retains.
+    #[must_use]
+    pub fn retained_bytes(&self) -> u64 {
+        self.checkers.iter().map(|c| c.report().clocks.retained_bytes as u64).sum()
+    }
+
+    /// Per-checker verdicts and reports, in panel order.
+    #[must_use]
+    pub fn runs(&self) -> Vec<CheckerRun> {
+        self.checkers
+            .iter()
+            .zip(&self.violations)
+            .map(|(checker, violation)| CheckerRun {
+                name: checker.name(),
+                outcome: violation.clone().map_or(Outcome::Serializable, Outcome::Violation),
+                report: checker.report(),
+            })
+            .collect()
     }
 }
 
@@ -125,7 +205,7 @@ pub fn feed_panel(
 struct RunState<'a, C: ?Sized> {
     checker: &'a mut C,
     events: u64,
-    violation: Option<aerodrome::Violation>,
+    violation: Option<Violation>,
 }
 
 impl<C: Checker + ?Sized> RunState<'_, C> {
@@ -433,6 +513,81 @@ mod tests {
         // dead worker: the run must end in the panic, not hang.
         let cfg = workloads::GenConfig { events: 200_000, ..workloads::GenConfig::default() };
         let _ = Pipeline::new(workloads::GenSource::new(&cfg)).run(&mut Exploding);
+    }
+
+    /// Accepts every event, counting them: shows exactly what a panel fed.
+    #[derive(Default)]
+    struct Accepting(u64);
+
+    impl Checker for Accepting {
+        fn process(&mut self, _: tracelog::Event) -> Result<(), Violation> {
+            self.0 += 1;
+            Ok(())
+        }
+
+        fn events_processed(&self) -> u64 {
+            self.0
+        }
+
+        fn name(&self) -> &'static str {
+            "accepting"
+        }
+
+        fn reset(&mut self) {
+            self.0 = 0;
+        }
+    }
+
+    /// Drives `panel` over `source` in 1-event batches, as the resident
+    /// runtimes do; returns the final refill result and every
+    /// `(panel index, violating event)` reported mid-stream.
+    fn drive_by_one(
+        panel: &mut Panel,
+        source: &mut dyn EventSource,
+    ) -> (Result<bool, SourceError>, EventBatch, Vec<(usize, usize)>) {
+        let mut batch = EventBatch::with_target(1);
+        let mut fired = Vec::new();
+        loop {
+            let refilled = refill(source, &mut batch, |batch| panel.validate(batch));
+            panel.feed(&batch, |i, v| fired.push((i, v.event.index())));
+            if refilled.as_ref().map_or(true, |more| !more) {
+                return (refilled, batch, fired);
+            }
+        }
+    }
+
+    #[test]
+    fn panel_feeds_the_valid_prefix_and_resets() {
+        // ρ2 (violation at e6, index 5), then t3 releases a lock it never
+        // acquired: event 8 is ill-formed.
+        let rho2 = paper_traces::rho2();
+        let log = format!("{}t3|rel(m)|8\n", tracelog::write_trace(&rho2));
+        let mut panel = Panel::new(
+            vec![Box::new(Accepting::default()), Box::new(OptimizedChecker::new())],
+            true,
+        );
+
+        let (refilled, batch, fired) =
+            drive_by_one(&mut panel, &mut StdReader::new(log.as_bytes()));
+        match refilled {
+            Err(SourceError::Malformed(e)) => assert_eq!(e.event().index(), 8),
+            other => panic!("expected the ill-formed tail, got {other:?}"),
+        }
+        assert!(batch.is_empty(), "validate truncates the failing batch to its prefix");
+        let runs = panel.runs();
+        assert_eq!(runs[0].events(), rho2.len() as u64, "feed saw only the well-formed prefix");
+        assert!(!runs[0].outcome.is_violation());
+        assert_eq!(fired, [(1, 5)], "the violation is reported with its panel index");
+        assert_eq!(runs[1].outcome.violation().map(|v| v.event.index()), Some(5));
+
+        panel.reset();
+        let rho1 = paper_traces::rho1();
+        let (refilled, _, fired) = drive_by_one(&mut panel, &mut rho1.stream());
+        assert!(matches!(refilled, Ok(false)), "{refilled:?}");
+        assert!(fired.is_empty());
+        let runs = panel.runs();
+        assert!(runs.iter().all(|run| run.outcome == Outcome::Serializable), "{runs:?}");
+        assert!(runs.iter().all(|run| run.events() == rho1.len() as u64));
     }
 
     #[test]

@@ -5,19 +5,18 @@
 //! fanned out to N checkers); this module parallelises *across* traces.
 //! A [`check_corpus`] call discovers a corpus of `.std` / `.rbt` logs
 //! (directory walk or manifest, see [`discover`]), dispatches whole
-//! traces to at most [`MultiConfig::jobs`] resident workers over a
+//! traces to at most [`ParConfig::jobs`] resident workers over a
 //! shared queue, and
 //! aggregates per-trace verdicts plus corpus-level
 //! [`CheckerReport`] totals.
 //!
 //! The point is the *resident session*: each worker constructs its
-//! checker panel, its `.std` reader and its validator **once** and
-//! reuses them trace after trace through the session seams added for
-//! this runtime — [`aerodrome::Checker::reset`] (clock pools keep their
-//! recycled buffers, capped by
-//! [`aerodrome::state::DEFAULT_RETAINED_CLOCK_BYTES`]),
-//! [`StdReader::reset`] (warm interner and line buffers) and
-//! [`Validator::reset`]. Once a worker is warm, checking the next trace
+//! checker [`Panel`] (checkers, verdict slots and validator) **once**
+//! and reuses it trace after trace through [`Panel::reset`] — checkers
+//! keep their recycled clock buffers, capped by
+//! [`aerodrome::state::DEFAULT_RETAINED_CLOCK_BYTES`], and the validator
+//! its tables. Every trace is opened with [`AnySource::open`], so text
+//! and binary logs take one ingest path. Once a worker is warm, checking the next trace
 //! performs zero clock heap allocations — the within-trace invariant of
 //! `tests/pool_alloc.rs`, lifted across traces (asserted in
 //! `tests/session_reuse.rs`). Verdicts and per-trace report counters
@@ -32,11 +31,11 @@
 //! # Examples
 //!
 //! ```no_run
-//! use aerodrome_suite::pipeline::multi::{check_corpus, discover, MultiConfig};
-//! use aerodrome_suite::pipeline::par::standard_checkers;
+//! use aerodrome_suite::pipeline::multi::{check_corpus, discover};
+//! use aerodrome_suite::pipeline::par::{standard_checkers, ParConfig};
 //!
 //! let paths = discover("corpus/".as_ref())?;
-//! let report = check_corpus(&paths, standard_checkers, &MultiConfig::default());
+//! let report = check_corpus(&paths, standard_checkers, &ParConfig::default());
 //! for trace in &report.traces {
 //!     println!("{}: {} events", trace.path.display(), trace.events);
 //! }
@@ -44,78 +43,22 @@
 //! # Ok::<(), String>(())
 //! ```
 
-use std::fs::File;
-use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use aerodrome::{CheckerReport, Outcome, Violation};
-use tracelog::binfmt::{self, MmapSource};
-use tracelog::stream::{EventBatch, StdReader, DEFAULT_BATCH_EVENTS};
-use tracelog::{EventSource, Validator};
+use aerodrome::CheckerReport;
+use tracelog::stream::EventBatch;
+use tracelog::{AnySource, EventSource, SourceError};
 
-use super::par::{CheckerRun, SendChecker};
+use super::par::{CheckerRun, ParConfig, SendChecker};
+use super::Panel;
 
-/// Tuning knobs of the corpus scheduler.
-#[derive(Clone, Debug)]
-pub struct MultiConfig {
-    /// Resident workers; `0` (the default) means one per available CPU,
-    /// capped at the corpus size.
-    pub jobs: usize,
-    /// Events per [`EventBatch`] refill (default
-    /// [`DEFAULT_BATCH_EVENTS`]).
-    pub batch_events: usize,
-    /// Run the online well-formedness validator per trace (default
-    /// `true`, matching the single-trace pipelines).
-    pub validate: bool,
-}
-
-impl Default for MultiConfig {
-    fn default() -> Self {
-        Self { jobs: 0, batch_events: DEFAULT_BATCH_EVENTS, validate: true }
-    }
-}
-
-impl MultiConfig {
-    /// Sets the worker count (`0` = one per available CPU).
-    #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Sets the per-refill batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `events == 0`.
-    #[must_use]
-    pub fn batch_events(mut self, events: usize) -> Self {
-        assert!(events > 0, "batch size must be positive");
-        self.batch_events = events;
-        self
-    }
-
-    /// Enables or disables the per-trace validator.
-    #[must_use]
-    pub fn validate(mut self, on: bool) -> Self {
-        self.validate = on;
-        self
-    }
-
-    /// The worker count actually used for a corpus of `traces` traces.
-    #[must_use]
-    pub fn effective_jobs(&self, traces: usize) -> usize {
-        let auto = if self.jobs == 0 {
-            thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get)
-        } else {
-            self.jobs
-        };
-        auto.min(traces).max(1)
-    }
-}
+/// The corpus scheduler's tuning knobs are [`ParConfig`]'s: `jobs`
+/// resident workers (capped at the corpus size), `batch_events` per
+/// refill and the per-trace `validate` switch.
+pub use super::par::ParConfig as MultiConfig;
 
 /// One trace's end-to-end result out of a corpus run.
 #[derive(Clone, Debug)]
@@ -262,58 +205,37 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// One trace's ingest-and-feed loop, shared by the text and binary
-/// paths: drains `source` batch by batch, validating (when a validator
-/// is supplied) and feeding the panel, matching `par::check_all`
-/// semantics exactly — the whole log is drained (the run certifies it)
-/// and each checker stops individually at its first violation. Returns
-/// the events ingested; failures land in `error` with the source's own
-/// position attribution (`line N` / `record N (chunk C)`).
-fn ingest_one<S: EventSource + ?Sized>(
-    source: &mut S,
-    checkers: &mut [SendChecker],
-    violations: &mut [Option<Violation>],
+/// One trace's ingest-and-feed loop, whatever its encoding: drains
+/// `source` batch by batch through [`super::refill`] into the panel,
+/// matching `par::check_all` semantics exactly — the whole log is
+/// drained (the run certifies it) and each checker stops individually
+/// at its first violation. Returns the events ingested and the first
+/// failure; the events before it were fed.
+fn ingest_one(
+    source: &mut dyn EventSource,
+    panel: &mut Panel,
     batch: &mut EventBatch,
-    mut validator: Option<&mut Validator>,
-    path: &Path,
-    error: &mut Option<String>,
-) -> u64 {
+) -> (u64, Option<SourceError>) {
     let mut events = 0u64;
     loop {
-        let refill = source.next_batch(batch);
-        if let Some(v) = validator.as_deref_mut() {
-            if let Some(e) = super::validate_batch(v, batch) {
-                let pos =
-                    source.position_of(e.event()).map_or_else(String::new, |p| format!("{p}: "));
-                *error = Some(format!("{}: {pos}not well-formed: {e}", path.display()));
-            }
-        }
-        super::feed_panel(checkers, violations, batch, |_, _| {});
+        let refilled = super::refill(source, batch, |batch| panel.validate(batch));
+        panel.feed(batch, |_, _| {});
         events += batch.len() as u64;
-        let exhausted = match refill {
-            // A validation failure inside the batch precedes a source
-            // failure past its end; keep the earlier one.
-            Err(e) if error.is_none() => {
-                *error = Some(format!("{}: {e}", path.display()));
-                true
-            }
-            Err(_) => true,
-            Ok(n) => n == 0 || error.is_some(),
-        };
-        if exhausted {
-            return events;
+        match refilled {
+            Ok(true) => {}
+            Ok(false) => return (events, None),
+            Err(e) => return (events, Some(e)),
         }
     }
 }
 
-/// One worker's resident state: the checker panel, the reader and the
-/// validator, constructed once and reset between traces.
+/// One worker's resident state: the checker panel and the batch arena,
+/// constructed once and reset between traces. Each trace gets its own
+/// reader: keeping a `.std` parser warm across traces was measured and
+/// never won (docs/PERF.md).
 struct Session {
-    checkers: Vec<SendChecker>,
-    reader: Option<StdReader<BufReader<File>>>,
+    panel: Panel,
     batch: EventBatch,
-    validator: Validator,
-    validate: bool,
 }
 
 impl Session {
@@ -321,96 +243,26 @@ impl Session {
         let started = Instant::now();
         // Reset *before* running (not after): idempotent, and it holds
         // even when the previous trace aborted mid-ingest on an error.
-        for checker in &mut self.checkers {
-            checker.reset();
-        }
-        self.validator.reset();
-        let mut violations: Vec<Option<Violation>> = vec![None; self.checkers.len()];
-        let mut events = 0u64;
-        let mut error = None;
-        let (mut threads, mut locks, mut vars) = (0, 0, 0);
-
-        let file = match File::open(path) {
-            Ok(f) => Some(f),
-            Err(e) => {
-                error = Some(format!("{}: {e}", path.display()));
-                None
+        self.panel.reset();
+        let (events, error, (threads, locks, vars)) = match AnySource::open(path) {
+            Ok(mut source) => {
+                let (events, failure) = ingest_one(&mut source, &mut self.panel, &mut self.batch);
+                // Attribute an ill-formed event with the source's own
+                // position (`line N` / `record N (chunk C)`).
+                let error = failure.map(|e| {
+                    let position = match &e {
+                        SourceError::Malformed(err) => source
+                            .position_of(err.event())
+                            .map_or_else(String::new, |p| format!("{p}: ")),
+                        _ => String::new(),
+                    };
+                    format!("{}: {position}{e}", path.display())
+                });
+                let names = source.names();
+                (events, error, (names.threads.len(), names.locks.len(), names.vars.len()))
             }
+            Err(e) => (0, Some(format!("{}: {e}", path.display())), (0, 0, 0)),
         };
-        if let Some(mut file) = file {
-            // Sniff the encoding by magic (not extension), as every
-            // ingesting subcommand does.
-            let binary = match binfmt::sniff_magic(&mut file) {
-                Ok(b) => b,
-                Err(e) => {
-                    error = Some(format!("{}: {e}", path.display()));
-                    false
-                }
-            };
-            if error.is_some() {
-                // fall through with the open/sniff error recorded
-            } else if binary {
-                // Binary traces get a per-trace reader: opening one is a
-                // footer read, a name preload and an mmap — there is no
-                // warm parser state worth keeping resident.
-                drop(file);
-                match MmapSource::open(path) {
-                    Ok(mut source) => {
-                        events = ingest_one(
-                            &mut source,
-                            &mut self.checkers,
-                            &mut violations,
-                            &mut self.batch,
-                            self.validate.then_some(&mut self.validator),
-                            path,
-                            &mut error,
-                        );
-                        let names = source.names();
-                        (threads, locks, vars) =
-                            (names.threads.len(), names.locks.len(), names.vars.len());
-                    }
-                    Err(e) => error = Some(format!("{}: {e}", path.display())),
-                }
-            } else {
-                // The reader session survives from the previous trace:
-                // reset keeps the interner and line-buffer capacity warm.
-                let reader = match self.reader.take() {
-                    Some(mut r) => {
-                        r.reset(BufReader::new(file));
-                        r
-                    }
-                    None => StdReader::new(BufReader::new(file)),
-                };
-                self.reader = Some(reader);
-                let reader = self.reader.as_mut().expect("reader installed above");
-                events = ingest_one(
-                    reader,
-                    &mut self.checkers,
-                    &mut violations,
-                    &mut self.batch,
-                    self.validate.then_some(&mut self.validator),
-                    path,
-                    &mut error,
-                );
-                // Name counts belong to THIS trace's ingest only: when
-                // the open failed, the resident reader still holds the
-                // previous trace's warm tables and must not leak into
-                // this report.
-                let names = reader.names();
-                (threads, locks, vars) = (names.threads.len(), names.locks.len(), names.vars.len());
-            }
-        }
-
-        let runs = self
-            .checkers
-            .iter()
-            .zip(violations)
-            .map(|(checker, violation)| CheckerRun {
-                name: checker.name(),
-                outcome: violation.map_or(Outcome::Serializable, Outcome::Violation),
-                report: checker.report(),
-            })
-            .collect();
         TraceRun {
             index,
             path: path.to_path_buf(),
@@ -418,7 +270,7 @@ impl Session {
             threads,
             locks,
             vars,
-            runs,
+            runs: self.panel.runs(),
             error,
             wall: started.elapsed(),
         }
@@ -437,7 +289,7 @@ impl Session {
 /// # Panics
 ///
 /// Propagates a panic of a checker on a worker thread.
-pub fn check_corpus<F>(paths: &[PathBuf], make_panel: F, config: &MultiConfig) -> CorpusReport
+pub fn check_corpus<F>(paths: &[PathBuf], make_panel: F, config: &ParConfig) -> CorpusReport
 where
     F: Fn() -> Vec<SendChecker> + Sync,
 {
@@ -450,11 +302,8 @@ where
             .map(|_| {
                 s.spawn(|| {
                     let mut session = Session {
-                        checkers: make_panel(),
-                        reader: None,
+                        panel: Panel::new(make_panel(), config.validate),
                         batch: EventBatch::with_target(config.batch_events),
-                        validator: Validator::new(),
-                        validate: config.validate,
                     };
                     let mut out = Vec::new();
                     loop {

@@ -58,10 +58,12 @@ use std::time::Duration;
 use aerodrome::basic::BasicChecker;
 use aerodrome::optimized::OptimizedChecker;
 use aerodrome::readopt::ReadOptChecker;
-use aerodrome::{Checker, CheckerReport, Outcome, Violation};
+use aerodrome::{Checker, CheckerReport, Outcome};
 use tracelog::stream::{EventBatch, EventSource, DEFAULT_BATCH_EVENTS};
 use tracelog::{SourceError, Validator, ValiditySummary};
 use velodrome::VelodromeChecker;
+
+use super::Panel;
 
 /// A checker that can be moved onto a worker thread.
 pub type SendChecker = Box<dyn Checker + Send>;
@@ -70,20 +72,22 @@ pub type SendChecker = Box<dyn Checker + Send>;
 /// ahead of the slowest worker.
 pub const CHANNEL_BATCHES: usize = 2;
 
-/// Tuning knobs of the parallel runtime. The defaults are right for
+/// Tuning knobs of the parallel runtimes: [`check_all`] and the corpus
+/// scheduler [`super::multi::check_corpus`]. The defaults are right for
 /// "check one big trace under all variants on a multicore box"; the
 /// benches sweep `batch_events` (see docs/PERF.md).
 #[derive(Clone, Debug)]
 pub struct ParConfig {
     /// Worker threads to spawn; `0` (the default) means one per
-    /// available CPU. Capped at the number of checkers — an idle worker
-    /// would only cost a channel.
+    /// available CPU. Capped at the number of work items — checkers in
+    /// [`check_all`], traces in a corpus run — since an idle worker
+    /// would only cost a thread.
     pub jobs: usize,
     /// Events per [`EventBatch`] refill (default
     /// [`DEFAULT_BATCH_EVENTS`]).
     pub batch_events: usize,
-    /// Run the online well-formedness validator on the ingest thread
-    /// (default `true`, matching [`super::Pipeline`]).
+    /// Run the online well-formedness validator, once per ingested
+    /// trace (default `true`, matching [`super::Pipeline`]).
     pub validate: bool,
 }
 
@@ -113,22 +117,22 @@ impl ParConfig {
         self
     }
 
-    /// Enables or disables the ingest-side validator.
+    /// Enables or disables the validator.
     #[must_use]
     pub fn validate(mut self, on: bool) -> Self {
         self.validate = on;
         self
     }
 
-    /// The worker count actually used for `checkers` checkers.
+    /// The worker count actually used for `items` work items.
     #[must_use]
-    pub fn effective_jobs(&self, checkers: usize) -> usize {
+    pub fn effective_jobs(&self, items: usize) -> usize {
         let auto = if self.jobs == 0 {
             thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get)
         } else {
             self.jobs
         };
-        auto.min(checkers).max(1)
+        auto.min(items).max(1)
     }
 }
 
@@ -200,13 +204,12 @@ pub fn standard_checkers() -> Vec<SendChecker> {
     ]
 }
 
-/// A worker's share of the panel: its checkers, owned outright, and
-/// their violation slots, beside each checker's index in the input panel.
-#[derive(Default)]
+/// A worker's share of the panel, owned outright, beside each checker's
+/// index in the input panel. It has no validator: the ingest thread
+/// validates.
 struct Shard {
     indices: Vec<usize>,
-    checkers: Vec<SendChecker>,
-    violations: Vec<Option<Violation>>,
+    panel: Panel,
 }
 
 /// Runs every checker over one ingest pass of `source`, in parallel.
@@ -246,34 +249,30 @@ pub fn check_all<S: EventSource + ?Sized>(
     let workers = config.effective_jobs(checkers.len());
 
     // Round-robin the panel over the workers, remembering input order.
-    let mut shards: Vec<Shard> = (0..workers).map(|_| Shard::default()).collect();
+    let mut split: Vec<(Vec<usize>, Vec<SendChecker>)> =
+        (0..workers).map(|_| (Vec::new(), Vec::new())).collect();
     for (index, checker) in checkers.into_iter().enumerate() {
-        let shard = &mut shards[index % workers];
-        shard.indices.push(index);
-        shard.checkers.push(checker);
-        shard.violations.push(None);
+        let (indices, checkers) = &mut split[index % workers];
+        indices.push(index);
+        checkers.push(checker);
     }
+    let shards = split
+        .into_iter()
+        .map(|(indices, checkers)| Shard { indices, panel: Panel::new(checkers, false) })
+        .collect();
 
     let (shards, ingest) =
         fan_out(source, shards, config.batch_events, config.validate, |shard, batch| {
-            super::feed_panel(&mut shard.checkers, &mut shard.violations, batch, |_, _| {});
+            shard.panel.feed(batch, |_, _| {});
             ControlFlow::Continue(())
         });
     if let Some(e) = ingest.error {
         return Err(e);
     }
-    let mut runs: Vec<(usize, CheckerRun)> = Vec::new();
-    for Shard { indices, checkers, violations } in shards {
-        for (index, (checker, violation)) in
-            indices.into_iter().zip(checkers.into_iter().zip(violations))
-        {
-            let outcome = violation.map_or(Outcome::Serializable, Outcome::Violation);
-            runs.push((
-                index,
-                CheckerRun { name: checker.name(), outcome, report: checker.report() },
-            ));
-        }
-    }
+    let mut runs: Vec<(usize, CheckerRun)> = shards
+        .into_iter()
+        .flat_map(|Shard { indices, panel }| indices.into_iter().zip(panel.runs()))
+        .collect();
     runs.sort_by_key(|(index, _)| *index); // recover input order
     let runs = runs.into_iter().map(|(_, run)| run).collect();
     Ok(ParReport { runs, events: ingest.events, summary: ingest.summary, stats: ingest.stats })
@@ -405,21 +404,14 @@ where
                 }
                 Err(TryRecvError::Disconnected) => break 'ingest,
             };
-            let refill = source.next_batch(&mut batch);
-            if let Some(v) = validator.as_mut() {
-                if let Some(e) = super::validate_batch(v, &mut batch) {
-                    ingest.error = Some(e.into());
-                }
-            }
-            let exhausted = match refill {
-                // A validation failure inside the batch precedes a source
-                // failure past its end; keep the earlier error.
-                Err(e) if ingest.error.is_none() => {
+            let exhausted = match super::refill(source, &mut batch, |batch| {
+                validator.as_mut().and_then(|v| super::validate_batch(v, batch))
+            }) {
+                Ok(more) => !more,
+                Err(e) => {
                     ingest.error = Some(e);
                     true
                 }
-                Err(_) => true,
-                Ok(n) => n == 0 || ingest.error.is_some(),
             };
             ingest.events += batch.len() as u64;
             if !batch.is_empty() {

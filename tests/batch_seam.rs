@@ -5,9 +5,10 @@
 //! `StdReader`, `GenSource` and all workload shapes, at awkward batch
 //! sizes.
 
+use aerodrome_suite::pipeline::validate_batch;
 use aerodrome_suite::prelude::*;
 use proptest::prelude::*;
-use tracelog::stream::{EventBatch, Validated};
+use tracelog::stream::EventBatch;
 use workloads::shapes;
 
 /// Drains a source per-event.
@@ -108,36 +109,33 @@ fn parse_errors_are_identical_across_modes() {
     }
 }
 
-/// The validating stage rejects the same event in both modes, and the
-/// reader can still attribute that event to its input line even though
-/// the batch read ahead.
+/// The validator rejects the same event per event (`Validator::observe`)
+/// and per batch (`validate_batch`), the batch keeps exactly the
+/// well-formed prefix, and the reader can still attribute that event to
+/// its input line even though the batch read ahead.
 #[test]
 fn validation_errors_are_identical_across_modes() {
     let log = "t1|begin|0\nt1|w(x)|1\nt2|r(x)|2\nt1|rel(m)|3\nt1|end|4\n";
 
-    let mut per_event = Validated::new(StdReader::new(log.as_bytes()));
+    let mut per_event = StdReader::new(log.as_bytes());
+    let mut validator = Validator::new();
     let mut events_a = Vec::new();
     let err_a = loop {
-        match per_event.next_event() {
-            Ok(Some(e)) => events_a.push(e),
-            Ok(None) => panic!("must hit the ill-formed event"),
+        let event = per_event.next_event().unwrap().expect("must hit the ill-formed event");
+        match validator.observe(event) {
+            Ok(()) => events_a.push(event),
             Err(e) => break e,
         }
     };
 
-    let mut inner = StdReader::new(log.as_bytes());
-    let mut batched = Validated::new(&mut inner);
+    let mut batched = StdReader::new(log.as_bytes());
     let mut batch = EventBatch::new();
-    let err_b = match batched.next_batch(&mut batch) {
-        Err(e) => e,
-        other => panic!("expected the ill-formed event to fail the batch, got {other:?}"),
-    };
+    batched.next_batch(&mut batch).unwrap();
+    let err_b = validate_batch(&mut Validator::new(), &mut batch)
+        .expect("the ill-formed event must fail the batch");
     assert_eq!(events_a.as_slice(), batch.events(), "well-formed prefix must match");
-    let (SourceError::Malformed(a), SourceError::Malformed(b)) = (err_a, err_b) else {
-        panic!("expected malformed errors")
-    };
-    assert_eq!(a, b);
-    assert_eq!(inner.line_of(b.event()), Some(4), "event attributed to its own line");
+    assert_eq!(err_a, err_b);
+    assert_eq!(batched.line_of(err_b.event()), Some(4), "event attributed to its own line");
 }
 
 proptest! {

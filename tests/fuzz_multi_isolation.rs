@@ -4,7 +4,7 @@
 //! valid traces around them keep their exact verdicts, and the resident
 //! sessions stay reusable (warm, allocation-free) afterwards.
 
-use aerodrome_suite::pipeline::multi::{check_corpus, MultiConfig};
+use aerodrome_suite::pipeline::multi::check_corpus;
 use aerodrome_suite::pipeline::par::standard_checkers;
 use aerodrome_suite::prelude::*;
 use scenarios::Mutator;
@@ -57,7 +57,7 @@ fn ill_formed_mutants_fail_alone_and_sessions_stay_warm() {
 
     let paths = vec![good_path.clone(), bad_path.clone(), good_path.clone(), good_path.clone()];
     for jobs in [1, 2] {
-        let report = check_corpus(&paths, standard_checkers, &MultiConfig::default().jobs(jobs));
+        let report = check_corpus(&paths, standard_checkers, &ParConfig::default().jobs(jobs));
         assert_eq!(report.workers, jobs.min(paths.len()));
         assert_eq!(report.traces.len(), 4);
 
@@ -86,7 +86,7 @@ fn ill_formed_mutants_fail_alone_and_sessions_stay_warm() {
     // order, so by its third occurrence the valid trace runs entirely
     // out of pooled clock storage — zero heap allocations — even though
     // an ill-formed trace was ingested (and rejected) in between.
-    let report = check_corpus(&paths, standard_checkers, &MultiConfig::default().jobs(1));
+    let report = check_corpus(&paths, standard_checkers, &ParConfig::default().jobs(1));
     for run in &report.traces[3].runs {
         assert_eq!(
             run.report.clocks.heap_allocs(),

@@ -9,7 +9,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use aerodrome_suite::pipeline::multi::{check_corpus, discover, MultiConfig};
+use aerodrome_suite::pipeline::multi::{check_corpus, discover};
 use aerodrome_suite::pipeline::par::standard_checkers;
 use aerodrome_suite::prelude::*;
 use workloads::corpus::{write_corpus, CorpusConfig};
@@ -44,7 +44,7 @@ fn corpus_run_is_bit_identical_to_per_trace_fresh_checkers() {
     let paths = write_corpus(&dir, &spec).unwrap();
 
     for jobs in [1, 2, 4] {
-        let config = MultiConfig::default().jobs(jobs).batch_events(257);
+        let config = ParConfig::default().jobs(jobs).batch_events(257);
         let report = check_corpus(&paths, standard_checkers, &config);
         assert_eq!(report.traces.len(), paths.len());
         for (trace, path) in report.traces.iter().zip(&paths) {
@@ -111,7 +111,7 @@ fn per_trace_failures_do_not_poison_the_corpus() {
     paths.insert(1, bad);
     paths.insert(3, dir.join("missing.std"));
 
-    let report = check_corpus(&paths, standard_checkers, &MultiConfig::default().jobs(2));
+    let report = check_corpus(&paths, standard_checkers, &ParConfig::default().jobs(2));
     assert_eq!(report.traces.len(), 5);
     assert_eq!(report.errors(), 2);
     let bad_run = &report.traces[1];
@@ -138,7 +138,7 @@ fn corpus_totals_aggregate_per_panel_position() {
     let dir = temp_dir("totals");
     let spec = CorpusConfig { traces: 4, events: 800, ..CorpusConfig::default() };
     let paths = write_corpus(&dir, &spec).unwrap();
-    let report = check_corpus(&paths, standard_checkers, &MultiConfig::default().jobs(1));
+    let report = check_corpus(&paths, standard_checkers, &ParConfig::default().jobs(1));
     let totals = report.checker_totals();
     assert_eq!(totals.len(), 4, "one total per panel position");
     for (i, total) in totals.iter().enumerate() {
@@ -175,7 +175,7 @@ fn hundred_trace_corpus_resident_beats_respawn() {
     let respawn_wall = respawn_started.elapsed();
 
     // Resident corpus run.
-    let config = MultiConfig::default().jobs(jobs);
+    let config = ParConfig::default().jobs(jobs);
     let resident_started = Instant::now();
     let report = check_corpus(&paths, standard_checkers, &config);
     let resident_wall = resident_started.elapsed();
