@@ -22,33 +22,31 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use aerodrome::basic::BasicChecker;
 use aerodrome::optimized::OptimizedChecker;
 use aerodrome::readopt::ReadOptChecker;
 use aerodrome::{Checker, Outcome};
-use aerodrome_suite::pipeline::multi;
 use aerodrome_suite::pipeline::par::{self, CheckerRun, ParConfig, SendChecker};
-use aerodrome_suite::pipeline::Pipeline;
+use aerodrome_suite::pipeline::{self, multi, Pipeline};
 use tracelog::binfmt::{self, AnySource, DEFAULT_CHUNK_EVENTS};
-use tracelog::stream::{copy_events, EventBatch, EventSource, SourceNames, DEFAULT_BATCH_EVENTS};
+use tracelog::stream::{copy_events, EventBatch, EventSource, SourceNames};
 use tracelog::{MetaInfo, SourceError, Trace, Validator, ValiditySummary};
 use velodrome::{Config, VelodromeChecker};
 
 /// A parsed command line.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
-    /// `rapid metainfo <trace.std> [--batch N]` — trace statistics
-    /// (Tables 1–2 columns 2–6).
+    /// `rapid metainfo <trace.std>` — trace statistics (Tables 1–2
+    /// columns 2–6).
     MetaInfo {
         /// Path of the trace log.
         path: String,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
     },
     /// `rapid aerodrome <trace.std> [--algorithm basic|readopt|optimized]
-    /// [--batch N] [--no-validate]` (alias: `rapid check`).
+    /// [--no-validate]` (alias: `rapid check`).
     Aerodrome {
         /// Path of the trace log.
         path: String,
@@ -56,11 +54,8 @@ pub enum Command {
         algorithm: Algorithm,
         /// Run the streaming well-formedness pre-pass (default true).
         validate: bool,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
     },
-    /// `rapid velodrome <trace.std> [--no-gc] [--batch N]
-    /// [--no-validate]`.
+    /// `rapid velodrome <trace.std> [--no-gc] [--no-validate]`.
     Velodrome {
         /// Path of the trace log.
         path: String,
@@ -68,42 +63,33 @@ pub enum Command {
         config: Config,
         /// Run the streaming well-formedness pre-pass (default true).
         validate: bool,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
     },
-    /// `rapid compare <trace> [--jobs N] [--batch N] [--no-validate]` —
-    /// one parse pass fanned out to every checker variant in parallel.
+    /// `rapid compare <trace> [--jobs N] [--no-validate]` — one parse
+    /// pass fanned out to every checker variant in parallel.
     Compare {
         /// Path of the trace log (`.std` or `.rbt`, sniffed by magic).
         path: String,
         /// Worker threads (`0` = one per available CPU).
         jobs: usize,
-        /// Events per batch; `None` uses the default (~4096).
-        batch: Option<usize>,
         /// Run the streaming well-formedness pre-pass (default true).
         validate: bool,
     },
-    /// `rapid validate <trace.std> [--batch N]` — the streaming
-    /// well-formedness check alone (exit 1 on the first ill-formed
-    /// event).
+    /// `rapid validate <trace.std>` — the streaming well-formedness
+    /// check alone (exit 1 on the first ill-formed event).
     Validate {
         /// Path of the trace log.
         path: String,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
     },
-    /// `rapid batch <dir|manifest|trace.std> [--jobs N] [--batch N]
-    /// [--checker NAME] [--seal-verify] [--no-validate]` — the resident
-    /// multi-trace runtime: every discovered trace checked through
-    /// reusable worker sessions.
+    /// `rapid batch <dir|manifest|trace.std> [--jobs N] [--checker NAME]
+    /// [--seal-verify] [--no-validate]` — the resident multi-trace
+    /// runtime: every discovered trace checked through reusable worker
+    /// sessions.
     Batch {
-        /// Corpus root: a directory (walked for `*.std`), a manifest
-        /// file (one trace path per line) or a single trace log.
+        /// Corpus root: a directory (walked for `*.std` and `*.rbt`), a
+        /// manifest file (one trace path per line) or a single trace log.
         path: String,
         /// Resident workers (`0` = one per available CPU).
         jobs: usize,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
         /// Which checkers each worker runs (default: the full panel).
         checker: CheckerChoice,
         /// Verify each trace's verdicts against its `.expect` sidecar;
@@ -115,7 +101,7 @@ pub enum Command {
     },
     /// `rapid generate <out.std> [--events N] [--threads N] [--seed N]
     /// [--violation-at F] [--retention] [--profile NAME] [--seal]
-    /// [--corpus N] [--batch N]` where NAME is a Table 1/2 row or one of
+    /// [--corpus N]` where NAME is a Table 1/2 row or one of
     /// the shapes `convoy`/`fanout`/`nesting`. With `--corpus N` the
     /// path is a directory receiving N varied traces plus a manifest.
     Generate {
@@ -137,8 +123,6 @@ pub enum Command {
         /// Emit a whole corpus of this many varied traces instead of one
         /// log (honours `--events` per trace and `--seed`).
         corpus: Option<usize>,
-        /// Events per ingest batch for the `--seal` re-read pass.
-        batch: Option<usize>,
         /// On-disk encoding of the written log(s) (`--out-format`).
         out_format: OutFormat,
     },
@@ -163,16 +147,13 @@ pub enum Command {
         /// Per-run wall-clock budget.
         budget: Duration,
     },
-    /// `rapid causal <trace.std> [--batch N] [--no-validate]` —
-    /// per-transaction causal atomicity (oracle-based; quadratic, for
-    /// small traces).
+    /// `rapid causal <trace.std> [--no-validate]` — per-transaction
+    /// causal atomicity (oracle-based; quadratic, for small traces).
     Causal {
         /// Path of the trace log.
         path: String,
         /// Run the streaming well-formedness pre-pass (default true).
         validate: bool,
-        /// Events per ingest batch; `None` uses the default (~4096).
-        batch: Option<usize>,
     },
     /// `rapid explore <builtin|program> [--max-schedules N] [--samples N]
     /// [--seed N] [--out DIR] [--jobs N]` — deterministic schedule
@@ -209,9 +190,8 @@ pub enum Command {
         /// Worker threads for the sealing pass (`0` = auto).
         jobs: usize,
     },
-    /// `rapid serve [--addr HOST:PORT] [--jobs N] [--batch N]
-    /// [--max-retained-bytes B] [--no-validate]` — the long-lived
-    /// checking service: each TCP connection is a live trace session
+    /// `rapid serve [--addr HOST:PORT] [--jobs N] [--max-retained-bytes B]
+    /// [--no-validate]` — the long-lived checking service: each TCP connection is a live trace session
     /// with verdicts pushed mid-stream.
     Serve {
         /// Bind address (default `127.0.0.1:7447`; port 0 = ephemeral).
@@ -369,31 +349,31 @@ pub const USAGE: &str = "\
 rapid — atomicity checking on trace logs (AeroDrome reproduction)
 
 USAGE:
-    rapid metainfo  <trace.std> [--batch N]
+    rapid metainfo  <trace.std>
     rapid aerodrome <trace.std> [--algorithm basic|readopt|optimized]
-                    [--batch N] [--no-validate]   (alias: rapid check)
-    rapid velodrome <trace.std> [--no-gc] [--batch N] [--no-validate]
-    rapid compare   <trace.std> [--jobs N] [--batch N] [--no-validate]
-    rapid batch     <dir|manifest|trace.std> [--jobs N] [--batch N]
+                    [--no-validate]   (alias: rapid check)
+    rapid velodrome <trace.std> [--no-gc] [--no-validate]
+    rapid compare   <trace.std> [--jobs N] [--no-validate]
+    rapid batch     <dir|manifest|trace.std> [--jobs N]
                     [--checker all|basic|readopt|optimized|velodrome]
                     [--seal-verify] [--no-validate]
-    rapid validate  <trace.std> [--batch N]
+    rapid validate  <trace.std>
     rapid convert   <in> <out> [--chunk-events N]
     rapid generate  <out.std> [--profile NAME|convoy|fanout|nesting]
                     [--events N]
                     [--threads N] [--vars N] [--locks N] [--seed N]
                     [--violation-at F] [--retention]
-                    [--seal] [--jobs N] [--batch N] [--out-format std|rbt]
+                    [--seal] [--jobs N] [--out-format std|rbt]
     rapid generate  <dir> --corpus N [--events N] [--seed N]
                     [--seal] [--jobs N] [--out-format std|rbt]
     rapid table1    [--budget SECS]
     rapid table2    [--budget SECS]
-    rapid causal    <trace.std> [--batch N] [--no-validate]
+    rapid causal    <trace.std> [--no-validate]
     rapid explore   <builtin|program> [--max-schedules N] [--samples N]
                     [--seed N] [--out DIR] [--jobs N]
     rapid fuzz      <trace.std> [--mutants N] [--seed N] [--out DIR]
                     [--jobs N]
-    rapid serve     [--addr HOST:PORT] [--jobs N] [--batch N]
+    rapid serve     [--addr HOST:PORT] [--jobs N]
                     [--max-retained-bytes B] [--no-validate]
     rapid loadgen   [--addr HOST:PORT] [--connections N]
                     [--events-per-sec R] [--shape convoy|fanout|nesting]
@@ -409,10 +389,6 @@ convention); `rapid convert` transcodes between them both ways, and the
 `.std` -> `.rbt` -> `.std` round-trip is byte-exact. `.expect` seal
 sidecars record identical text for both encodings of a trace.
 
-`--batch N` is uniform across every event-ingesting subcommand: events
-pulled per parser refill (default ~4096). It never changes verdicts,
-only call granularity.
-
 Checker analyses (aerodrome/check, velodrome, compare, batch, causal)
 stream the log through an incremental parser and, by default,
 the Section 2 well-formedness validator (`--no-validate` skips it);
@@ -423,10 +399,10 @@ traces over 20000 events.
 `compare` parses the log ONCE and fans the events out to all three
 AeroDrome variants plus Velodrome on `--jobs` worker threads (default:
 one per CPU), printing a per-checker verdict table. `batch` checks a
-whole CORPUS — a directory walked for *.std, a manifest listing one
-trace per line, or a single log — through resident worker sessions
-(checkers and validator constructed once per worker, reused trace to
-trace); exit is non-zero on any violation, ingest error or
+whole CORPUS — a directory walked for *.std and *.rbt, a manifest
+listing one trace per line, or a single log — through resident worker
+sessions (checkers and validator constructed once per worker, reused
+trace to trace); exit is non-zero on any violation, ingest error or
 seal mismatch. With `--seal-verify`, each trace's verdicts are diffed
 against its `<trace>.std.expect` sidecar instead: sealed violations are
 expected, and only mismatches or missing sidecars fail. `generate`
@@ -487,265 +463,275 @@ impl std::fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
-fn flag_value<'a>(args: &'a [String], i: &mut usize, name: &str) -> Result<&'a str, UsageError> {
-    *i += 1;
-    args.get(*i).map(String::as_str).ok_or_else(|| UsageError(format!("{name} requires a value")))
+/// One subcommand's command line: the names it answers to, what each
+/// positional argument is (for the "`<cmd>` requires …" message) and its
+/// flags. A flag spec with a metavariable (`"--jobs N"`) takes a value;
+/// a bare one (`"--no-validate"`) is a switch. The [`USAGE`] synopsis
+/// lists exactly these flags.
+struct Row {
+    names: &'static [&'static str],
+    positionals: &'static [&'static str],
+    flags: &'static [&'static str],
 }
 
-/// Parses a flag's numeric value (`--flag N`).
-fn num_flag<T: std::str::FromStr>(
-    args: &[String],
-    i: &mut usize,
-    name: &str,
-) -> Result<T, UsageError>
-where
-    T::Err: std::fmt::Display,
-{
-    flag_value(args, i, name)?.parse().map_err(|e| UsageError(format!("{name}: {e}")))
+/// Every subcommand but `help`, in [`USAGE`] order.
+const ROWS: &[Row] = &[
+    Row { names: &["metainfo"], positionals: &["a trace path"], flags: &[] },
+    Row {
+        names: &["aerodrome", "check"],
+        positionals: &["a trace path"],
+        flags: &["--algorithm NAME", "--no-validate"],
+    },
+    Row {
+        names: &["velodrome"],
+        positionals: &["a trace path"],
+        flags: &["--no-gc", "--no-validate"],
+    },
+    Row {
+        names: &["compare"],
+        positionals: &["a trace path"],
+        flags: &["--jobs N", "--no-validate"],
+    },
+    Row {
+        names: &["batch"],
+        positionals: &["a corpus path (directory, manifest or trace)"],
+        flags: &["--jobs N", "--checker NAME", "--seal-verify", "--no-validate"],
+    },
+    Row { names: &["validate"], positionals: &["a trace path"], flags: &[] },
+    Row {
+        names: &["convert"],
+        positionals: &["an input trace path", "an output path"],
+        flags: &["--chunk-events N"],
+    },
+    Row {
+        names: &["generate"],
+        positionals: &["an output path"],
+        flags: &[
+            "--profile NAME",
+            "--events N",
+            "--threads N",
+            "--vars N",
+            "--locks N",
+            "--seed N",
+            "--violation-at F",
+            "--retention",
+            "--seal",
+            "--jobs N",
+            "--out-format FMT",
+            "--corpus N",
+        ],
+    },
+    Row { names: &["table1", "table2"], positionals: &[], flags: &["--budget SECS"] },
+    Row { names: &["causal"], positionals: &["a trace path"], flags: &["--no-validate"] },
+    Row {
+        names: &["explore"],
+        positionals: &["a builtin name or program file"],
+        flags: &["--max-schedules N", "--samples N", "--seed N", "--out DIR", "--jobs N"],
+    },
+    Row {
+        names: &["fuzz"],
+        positionals: &["a trace path"],
+        flags: &["--mutants N", "--seed N", "--out DIR", "--jobs N"],
+    },
+    Row {
+        names: &["serve"],
+        positionals: &[],
+        flags: &["--addr HOST:PORT", "--jobs N", "--max-retained-bytes B", "--no-validate"],
+    },
+    Row {
+        names: &["loadgen"],
+        positionals: &[],
+        flags: &[
+            "--addr HOST:PORT",
+            "--connections N",
+            "--events-per-sec R",
+            "--shape NAME",
+            "--events N",
+            "--traces N",
+            "--seed N",
+            "--batch N",
+        ],
+    },
+];
+
+/// The flag name of a [`Row`] flag spec (`"--jobs N"` → `"--jobs"`).
+fn flag_name(spec: &str) -> &str {
+    spec.split_once(' ').map_or(spec, |(name, _)| name)
 }
 
-/// The **uniform** `--batch <events>` flag: events per ingest batch,
-/// shared by every subcommand that ingests events (one parser, one
-/// default — [`tracelog::stream::DEFAULT_BATCH_EVENTS`] when absent).
-fn batch_flag(args: &[String], i: &mut usize) -> Result<usize, UsageError> {
-    positive_flag(args, i, "--batch")
+/// A command line parsed against its [`Row`]: the positionals, then the
+/// last value given for each flag (`Some("")` for a switch).
+struct Args<'a> {
+    row: &'static Row,
+    positionals: &'a [String],
+    values: Vec<Option<&'a str>>,
 }
 
-/// The **uniform** `--jobs <workers>` flag: worker threads, shared by
-/// every parallel subcommand. Omitting the flag means one worker per
-/// available CPU (`0` internally); an *explicit* `--jobs 0` is a
-/// contradiction and is rejected rather than silently remapped.
-fn jobs_flag(args: &[String], i: &mut usize) -> Result<usize, UsageError> {
-    let n: usize = num_flag(args, i, "--jobs")?;
-    if n == 0 {
-        return Err(UsageError(
-            "--jobs must be positive (omit the flag for one worker per CPU)".into(),
-        ));
+impl<'a> Args<'a> {
+    /// Splits `args` (after the subcommand `cmd`) by `row`: a missing
+    /// positional, an unknown flag or a flag without its value is a
+    /// usage error.
+    fn parse(cmd: &str, row: &'static Row, args: &'a [String]) -> Result<Self, UsageError> {
+        if let Some(what) = row.positionals.get(args.len()) {
+            return Err(UsageError(format!("{cmd} requires {what}")));
+        }
+        let (positionals, flags) = args.split_at(row.positionals.len());
+        let mut values = vec![None; row.flags.len()];
+        let mut flags = flags.iter();
+        while let Some(flag) = flags.next() {
+            let i = row
+                .flags
+                .iter()
+                .position(|spec| flag_name(spec) == flag)
+                .ok_or_else(|| UsageError(format!("unknown flag `{flag}`")))?;
+            values[i] = Some(if row.flags[i].contains(' ') {
+                flags.next().ok_or_else(|| UsageError(format!("{flag} requires a value")))?
+            } else {
+                ""
+            });
+        }
+        Ok(Self { row, positionals, values })
     }
-    Ok(n)
+
+    /// Positional argument `i`.
+    fn arg(&self, i: usize) -> String {
+        self.positionals[i].clone()
+    }
+
+    /// The last value given for `flag`; `None` when it is absent.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        let i = self.row.flags.iter().position(|spec| flag_name(spec) == flag);
+        self.values[i.expect("getter asks for a flag of its own row")]
+    }
+
+    /// Whether the switch `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    /// `flag`'s value parsed as a `T`.
+    fn num<T: FromStr>(&self, flag: &str) -> Result<Option<T>, UsageError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|e| UsageError(format!("{flag}: {e}"))))
+            .transpose()
+    }
+
+    /// `flag`'s value as a count that must not be zero.
+    fn positive<T>(&self, flag: &str) -> Result<Option<T>, UsageError>
+    where
+        T: FromStr + Default + PartialEq,
+        T::Err: std::fmt::Display,
+    {
+        match self.num(flag)? {
+            Some(n) if n == T::default() => Err(UsageError(format!("{flag} must be positive"))),
+            n => Ok(n),
+        }
+    }
+
+    /// The **uniform** `--jobs <workers>` flag: omitting it means one
+    /// worker per available CPU (`0` internally); an *explicit* `--jobs
+    /// 0` is a contradiction and is rejected rather than silently
+    /// remapped.
+    fn jobs(&self) -> Result<usize, UsageError> {
+        match self.num("--jobs")? {
+            Some(0) => Err(UsageError(
+                "--jobs must be positive (omit the flag for one worker per CPU)".into(),
+            )),
+            jobs => Ok(jobs.unwrap_or(0)),
+        }
+    }
+
+    /// `true` unless `--no-validate` was given.
+    fn validate(&self) -> bool {
+        !self.has("--no-validate")
+    }
 }
 
-/// Parses a flag that takes a positive count (`--flag N`, `N ≥ 1`).
-fn positive_flag(args: &[String], i: &mut usize, name: &str) -> Result<usize, UsageError> {
-    let n: usize = num_flag(args, i, name)?;
-    if n == 0 {
-        return Err(UsageError(format!("{name} must be positive")));
-    }
-    Ok(n)
-}
+/// Default address of `rapid serve` and `rapid loadgen`.
+const DEFAULT_ADDR: &str = "127.0.0.1:7447";
 
 /// Parses `args` (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
-    let Some(cmd) = args.first() else {
+    let Some(cmd) = args.first().map(String::as_str) else {
         return Ok(Command::Help);
     };
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "metainfo" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("metainfo requires a trace path".into()))?
-                .clone();
-            let mut batch = None;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::MetaInfo { path, batch })
-        }
-        "aerodrome" | "check" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError(format!("{cmd} requires a trace path")))?
-                .clone();
-            let mut algorithm = Algorithm::default();
-            let mut validate = true;
-            let mut batch = None;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--algorithm" => {
-                        algorithm = match flag_value(args, &mut i, "--algorithm")? {
-                            "basic" => Algorithm::Basic,
-                            "readopt" => Algorithm::ReadOpt,
-                            "optimized" => Algorithm::Optimized,
-                            other => {
-                                return Err(UsageError(format!("unknown algorithm `{other}`")))
-                            }
-                        };
-                    }
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--no-validate" => validate = false,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Aerodrome { path, algorithm, validate, batch })
-        }
-        "velodrome" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("velodrome requires a trace path".into()))?
-                .clone();
-            let mut config = Config::default();
-            let mut validate = true;
-            let mut batch = None;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--no-gc" => config.gc = false,
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--no-validate" => validate = false,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Velodrome { path, config, validate, batch })
-        }
-        "compare" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("compare requires a trace path".into()))?
-                .clone();
-            let mut jobs = 0usize;
-            let mut batch = None;
-            let mut validate = true;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--jobs" => jobs = jobs_flag(args, &mut i)?,
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--no-validate" => validate = false,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Compare { path, jobs, batch, validate })
-        }
-        "convert" => {
-            let input = args
-                .get(1)
-                .ok_or_else(|| UsageError("convert requires an input trace path".into()))?
-                .clone();
-            let output = args
-                .get(2)
-                .ok_or_else(|| UsageError("convert requires an output path".into()))?
-                .clone();
-            let mut chunk_events = None;
-            let mut i = 3;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--chunk-events" => {
-                        let n: u32 = num_flag(args, &mut i, "--chunk-events")?;
-                        if n == 0 {
-                            return Err(UsageError("--chunk-events must be positive".into()));
-                        }
-                        chunk_events = Some(n);
-                    }
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Convert { input, output, chunk_events })
-        }
-        "validate" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("validate requires a trace path".into()))?
-                .clone();
-            let mut batch = None;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Validate { path, batch })
-        }
+    if matches!(cmd, "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let row = ROWS
+        .iter()
+        .find(|row| row.names.contains(&cmd))
+        .ok_or_else(|| UsageError(format!("unknown command `{cmd}` (try `rapid help`)")))?;
+    let a = Args::parse(cmd, row, &args[1..])?;
+    Ok(match row.names[0] {
+        "metainfo" => Command::MetaInfo { path: a.arg(0) },
+        "aerodrome" => Command::Aerodrome {
+            path: a.arg(0),
+            algorithm: match a.value("--algorithm") {
+                None | Some("optimized") => Algorithm::Optimized,
+                Some("basic") => Algorithm::Basic,
+                Some("readopt") => Algorithm::ReadOpt,
+                Some(other) => return Err(UsageError(format!("unknown algorithm `{other}`"))),
+            },
+            validate: a.validate(),
+        },
+        "velodrome" => Command::Velodrome {
+            path: a.arg(0),
+            config: Config { gc: !a.has("--no-gc") },
+            validate: a.validate(),
+        },
+        "compare" => Command::Compare { path: a.arg(0), jobs: a.jobs()?, validate: a.validate() },
+        "convert" => Command::Convert {
+            input: a.arg(0),
+            output: a.arg(1),
+            chunk_events: a.positive("--chunk-events")?,
+        },
+        "validate" => Command::Validate { path: a.arg(0) },
         "batch" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| {
-                    UsageError("batch requires a corpus path (directory, manifest or trace)".into())
-                })?
-                .clone();
-            let mut jobs = 0usize;
-            let mut batch = None;
-            let mut checker = CheckerChoice::default();
-            let mut seal_verify = false;
-            let mut validate = true;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--jobs" => jobs = jobs_flag(args, &mut i)?,
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--checker" => {
-                        let name = flag_value(args, &mut i, "--checker")?;
-                        checker = CheckerChoice::parse(name)
-                            .ok_or_else(|| UsageError(format!("unknown checker `{name}`")))?;
-                    }
-                    "--seal-verify" => seal_verify = true,
-                    "--no-validate" => validate = false,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
+            let checker = a
+                .value("--checker")
+                .map(|name| {
+                    CheckerChoice::parse(name)
+                        .ok_or_else(|| UsageError(format!("unknown checker `{name}`")))
+                })
+                .transpose()?
+                .unwrap_or_default();
+            let seal_verify = a.has("--seal-verify");
             if seal_verify && checker != CheckerChoice::All {
                 return Err(UsageError(
                     "--seal-verify needs the sealed panel: drop --checker (or use --checker all)"
                         .into(),
                 ));
             }
-            Ok(Command::Batch { path, jobs, batch, checker, seal_verify, validate })
+            Command::Batch {
+                path: a.arg(0),
+                jobs: a.jobs()?,
+                checker,
+                seal_verify,
+                validate: a.validate(),
+            }
         }
         "generate" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("generate requires an output path".into()))?
-                .clone();
-            let mut overrides = GenOverrides::default();
-            let mut profile = None;
-            let mut seal = false;
-            let mut jobs = 0usize;
-            let mut corpus = None;
-            let mut batch = None;
-            let mut out_format = OutFormat::default();
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--seal" => seal = true,
-                    "--jobs" => jobs = jobs_flag(args, &mut i)?,
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--corpus" => corpus = Some(positive_flag(args, &mut i, "--corpus")?),
-                    "--out-format" => {
-                        let name = flag_value(args, &mut i, "--out-format")?;
-                        out_format = OutFormat::parse(name)
-                            .ok_or_else(|| UsageError(format!("unknown out-format `{name}`")))?;
-                    }
-                    "--profile" => {
-                        profile = Some(flag_value(args, &mut i, "--profile")?.to_owned())
-                    }
-                    "--events" => overrides.events = Some(positive_flag(args, &mut i, "--events")?),
-                    "--threads" => {
-                        overrides.threads = Some(positive_flag(args, &mut i, "--threads")?);
-                    }
-                    "--vars" => overrides.vars = Some(num_flag(args, &mut i, "--vars")?),
-                    "--locks" => overrides.locks = Some(positive_flag(args, &mut i, "--locks")?),
-                    "--seed" => overrides.seed = Some(num_flag(args, &mut i, "--seed")?),
-                    "--violation-at" => {
-                        overrides.violation_at = Some(num_flag(args, &mut i, "--violation-at")?);
-                    }
-                    "--retention" => overrides.retention = true,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
+            let overrides = GenOverrides {
+                events: a.positive("--events")?,
+                threads: a.positive("--threads")?,
+                vars: a.num("--vars")?,
+                locks: a.positive("--locks")?,
+                seed: a.num("--seed")?,
+                violation_at: a.num("--violation-at")?,
+                retention: a.has("--retention"),
+            };
+            // The generator injects once it has written `events × at`
+            // events: from 1.0 up it never does, and it would clamp NaN
+            // or a negative fraction to the start of the trace.
+            if overrides.violation_at.is_some_and(|at| !(0.0..1.0).contains(&at)) {
+                return Err(UsageError("--violation-at must be a fraction in [0, 1)".into()));
             }
+            let profile = a.value("--profile").map(str::to_owned);
+            let corpus = a.positive("--corpus")?;
             if corpus.is_some() {
                 // The corpus generator varies shapes and knobs itself.
                 for (given, flag) in [
@@ -761,158 +747,81 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                     }
                 }
             }
-            let cfg = overrides.apply(workloads::GenConfig::default());
-            Ok(Command::Generate {
-                path,
-                cfg: Box::new(cfg),
+            let out_format = a
+                .value("--out-format")
+                .map(|name| {
+                    OutFormat::parse(name)
+                        .ok_or_else(|| UsageError(format!("unknown out-format `{name}`")))
+                })
+                .transpose()?
+                .unwrap_or_default();
+            Command::Generate {
+                path: a.arg(0),
+                cfg: Box::new(overrides.apply(workloads::GenConfig::default())),
                 profile,
                 overrides,
-                seal,
-                jobs,
+                seal: a.has("--seal"),
+                jobs: a.jobs()?,
                 corpus,
-                batch,
                 out_format,
-            })
-        }
-        "table1" | "table2" => {
-            let which = if cmd == "table1" { 1 } else { 2 };
-            let mut budget = Duration::from_secs(5);
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--budget" => {
-                        budget = Duration::from_secs(num_flag(args, &mut i, "--budget")?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
             }
-            Ok(Command::Table { which, budget })
         }
-        "causal" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| UsageError("causal requires a trace path".into()))?
-                .clone();
-            let mut validate = true;
-            let mut batch = None;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--batch" => batch = Some(batch_flag(args, &mut i)?),
-                    "--no-validate" => validate = false,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Causal { path, validate, batch })
-        }
-        "explore" => {
-            let program = args
-                .get(1)
-                .ok_or_else(|| {
-                    UsageError("explore requires a builtin name or program file".into())
-                })?
-                .clone();
-            let mut max_schedules = 1_000usize;
-            let mut samples = 256usize;
-            let mut seed = 0u64;
-            let mut out = None;
-            let mut jobs = 0usize;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--max-schedules" => {
-                        max_schedules = positive_flag(args, &mut i, "--max-schedules")?;
-                    }
-                    "--samples" => samples = num_flag(args, &mut i, "--samples")?,
-                    "--seed" => seed = num_flag(args, &mut i, "--seed")?,
-                    "--out" => out = Some(flag_value(args, &mut i, "--out")?.to_owned()),
-                    "--jobs" => jobs = jobs_flag(args, &mut i)?,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Explore { program, max_schedules, samples, seed, out, jobs })
-        }
-        "fuzz" => {
-            let path =
-                args.get(1).ok_or_else(|| UsageError("fuzz requires a trace path".into()))?.clone();
-            let mut mutants = 1_000usize;
-            let mut seed = 0u64;
-            let mut out = None;
-            let mut jobs = 0usize;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--mutants" => mutants = positive_flag(args, &mut i, "--mutants")?,
-                    "--seed" => seed = num_flag(args, &mut i, "--seed")?,
-                    "--out" => out = Some(flag_value(args, &mut i, "--out")?.to_owned()),
-                    "--jobs" => jobs = jobs_flag(args, &mut i)?,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Fuzz { path, mutants, seed, out, jobs })
-        }
-        "serve" => {
-            let mut addr = "127.0.0.1:7447".to_owned();
-            let mut config = serve::ServeConfig::default();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--addr" => addr = flag_value(args, &mut i, "--addr")?.to_owned(),
-                    "--jobs" => config.jobs = jobs_flag(args, &mut i)?,
-                    "--batch" => config.batch_events = batch_flag(args, &mut i)?,
-                    "--max-retained-bytes" => {
-                        // 0 is meaningful here: it disables eviction.
-                        config.max_retained_bytes = num_flag(args, &mut i, "--max-retained-bytes")?;
-                    }
-                    "--no-validate" => config.validate = false,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Serve { addr, config })
-        }
+        "table1" => Command::Table {
+            which: if cmd == "table1" { 1 } else { 2 },
+            budget: Duration::from_secs(a.num("--budget")?.unwrap_or(5)),
+        },
+        "causal" => Command::Causal { path: a.arg(0), validate: a.validate() },
+        "explore" => Command::Explore {
+            program: a.arg(0),
+            max_schedules: a.positive("--max-schedules")?.unwrap_or(1_000),
+            samples: a.num("--samples")?.unwrap_or(256),
+            seed: a.num("--seed")?.unwrap_or(0),
+            out: a.value("--out").map(str::to_owned),
+            jobs: a.jobs()?,
+        },
+        "fuzz" => Command::Fuzz {
+            path: a.arg(0),
+            mutants: a.positive("--mutants")?.unwrap_or(1_000),
+            seed: a.num("--seed")?.unwrap_or(0),
+            out: a.value("--out").map(str::to_owned),
+            jobs: a.jobs()?,
+        },
+        "serve" => Command::Serve {
+            addr: a.value("--addr").unwrap_or(DEFAULT_ADDR).to_owned(),
+            config: serve::ServeConfig {
+                jobs: a.jobs()?,
+                validate: a.validate(),
+                // 0 is meaningful here: it disables eviction.
+                max_retained_bytes: a
+                    .num("--max-retained-bytes")?
+                    .unwrap_or(serve::DEFAULT_MAX_RETAINED_BYTES),
+            },
+        },
         "loadgen" => {
-            let mut config =
-                serve::LoadConfig { addr: "127.0.0.1:7447".to_owned(), ..Default::default() };
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--addr" => config.addr = flag_value(args, &mut i, "--addr")?.to_owned(),
-                    "--connections" => {
-                        config.connections = positive_flag(args, &mut i, "--connections")?;
-                    }
-                    "--events-per-sec" => {
-                        let rate: f64 = num_flag(args, &mut i, "--events-per-sec")?;
-                        if !rate.is_finite() || rate < 0.0 {
-                            return Err(UsageError(
-                                "--events-per-sec must be finite and non-negative \
-                                 (0 = unpaced)"
-                                    .into(),
-                            ));
-                        }
-                        config.events_per_sec = rate;
-                    }
-                    "--shape" => config.shape = flag_value(args, &mut i, "--shape")?.to_owned(),
-                    "--events" => {
-                        config.events_per_trace = positive_flag(args, &mut i, "--events")?;
-                    }
-                    "--traces" => {
-                        config.traces_per_connection = positive_flag(args, &mut i, "--traces")?;
-                    }
-                    "--seed" => config.seed = num_flag(args, &mut i, "--seed")?,
-                    "--batch" => config.batch_events = batch_flag(args, &mut i)?,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
+            let defaults = serve::LoadConfig::default();
+            let events_per_sec = a.num("--events-per-sec")?.unwrap_or(defaults.events_per_sec);
+            if !events_per_sec.is_finite() || events_per_sec < 0.0 {
+                return Err(UsageError(
+                    "--events-per-sec must be finite and non-negative (0 = unpaced)".into(),
+                ));
             }
-            Ok(Command::Loadgen { config: Box::new(config) })
+            Command::Loadgen {
+                config: Box::new(serve::LoadConfig {
+                    addr: a.value("--addr").unwrap_or(DEFAULT_ADDR).to_owned(),
+                    connections: a.positive("--connections")?.unwrap_or(defaults.connections),
+                    events_per_sec,
+                    shape: a.value("--shape").map_or(defaults.shape, str::to_owned),
+                    events_per_trace: a.positive("--events")?.unwrap_or(defaults.events_per_trace),
+                    traces_per_connection: a
+                        .positive("--traces")?
+                        .unwrap_or(defaults.traces_per_connection),
+                    batch_events: a.positive("--batch")?.unwrap_or(defaults.batch_events),
+                    seed: a.num("--seed")?.unwrap_or(defaults.seed),
+                }),
+            }
         }
-        other => Err(UsageError(format!("unknown command `{other}` (try `rapid help`)"))),
-    }
+        _ => unreachable!("every row has a match arm"),
+    })
 }
 
 /// Opens a trace log as a streaming source, sniffing the on-disk
@@ -989,70 +898,32 @@ pub fn seal_sidecar_path(path: &str) -> String {
     format!("{path}.expect")
 }
 
-/// Renders the canonical sealed-reference text from a finished run's
-/// ingredients — shared by [`compute_seal`] (one `rapid compare`-style
-/// pass) and the `rapid batch --seal-verify` path (which reuses the
-/// verdicts the resident run already produced instead of re-checking).
-#[must_use]
-pub fn seal_text(
-    events: u64,
-    threads: usize,
-    locks: usize,
-    vars: usize,
-    runs: &[CheckerRun],
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# rapid seal v1");
-    let _ = writeln!(out, "events: {events}");
-    let _ = writeln!(out, "threads: {threads}");
-    let _ = writeln!(out, "locks: {locks}");
-    let _ = writeln!(out, "vars: {vars}");
-    for run in runs {
-        match run.outcome.violation() {
-            None => {
-                let _ = writeln!(out, "{}: serializable", run.name);
-            }
-            Some(v) => {
-                let _ = writeln!(out, "{}: violation@{}", run.name, v.event.index());
-            }
-        }
-    }
-    out
+/// Each run's checker name and violating event index, the verdict
+/// lines of [`pipeline::seal_text`].
+fn verdicts(runs: &[CheckerRun]) -> impl Iterator<Item = (&str, Option<u64>)> {
+    runs.iter().map(|run| (run.name, run.outcome.violation().map(|v| v.event.index() as u64)))
 }
 
 /// Computes the canonical sealed-reference text for a `.std` log: one
-/// parallel pass of every checker, rendered as stable `key: value`
-/// lines. `rapid generate --seal` writes this next to the log; the
-/// sealed-log tests recompute it and diff.
+/// parallel pass of every checker, rendered by [`pipeline::seal_text`].
+/// `rapid generate --seal` writes this next to the log; the sealed-log
+/// tests recompute it and diff.
 ///
 /// # Errors
 ///
 /// Propagates open/parse/validation failures as display strings.
 pub fn compute_seal(path: &str, jobs: usize) -> Result<String, String> {
-    compute_seal_with(path, jobs, None)
-}
-
-/// [`compute_seal`] with an explicit ingest batch size (the uniform
-/// `--batch` knob; `None` = default).
-///
-/// # Errors
-///
-/// Propagates open/parse/validation failures as display strings.
-pub fn compute_seal_with(path: &str, jobs: usize, batch: Option<usize>) -> Result<String, String> {
     let mut source = open_source(path)?;
-    let mut config = ParConfig::default().jobs(jobs);
-    if let Some(b) = batch {
-        config = config.batch_events(b);
-    }
-    let report = par::check_all(&mut source, par::standard_checkers(), &config)
-        .map_err(|e| source_err(path, &source, &e))?;
+    let report =
+        par::check_all(&mut source, par::standard_checkers(), &ParConfig::default().jobs(jobs))
+            .map_err(|e| source_err(path, &source, &e))?;
     let names = source.names();
-    Ok(seal_text(
+    Ok(pipeline::seal_text(
         report.events,
         names.threads.len(),
         names.locks.len(),
         names.vars.len(),
-        &report.runs,
+        verdicts(&report.runs),
     ))
 }
 
@@ -1062,19 +933,23 @@ pub fn compute_seal_with(path: &str, jobs: usize, batch: Option<usize>) -> Resul
 ///
 /// Propagates checking and write failures as display strings.
 pub fn write_seal(path: &str, jobs: usize) -> Result<String, String> {
-    write_seal_with(path, jobs, None)
-}
-
-/// [`write_seal`] with an explicit ingest batch size.
-///
-/// # Errors
-///
-/// Propagates checking and write failures as display strings.
-pub fn write_seal_with(path: &str, jobs: usize, batch: Option<usize>) -> Result<String, String> {
-    let text = compute_seal_with(path, jobs, batch)?;
+    let text = compute_seal(path, jobs)?;
     let sidecar = seal_sidecar_path(path);
     std::fs::write(&sidecar, &text).map_err(|e| format!("{sidecar}: {e}"))?;
     Ok(text)
+}
+
+/// A generator source for `cfg`, refusing a `--violation-at` it could
+/// not honour rather than writing a serializable trace.
+fn gen_source(cfg: &workloads::GenConfig) -> Result<Box<dyn EventSource>, String> {
+    if cfg.violation_at.is_some() && !cfg.can_inject() {
+        return Err(format!(
+            "--violation-at needs two worker threads besides main (--threads 3 or more); \
+             this config has --threads {}",
+            cfg.threads
+        ));
+    }
+    Ok(Box::new(workloads::GenSource::new(cfg)))
 }
 
 /// Resolves `rapid explore`'s program argument: a builtin scenario name
@@ -1102,7 +977,7 @@ fn resolve_program(arg: &str) -> Result<scenarios::Program, String> {
 fn write_sealed_std(dir: &str, file: &str, trace: &Trace, jobs: usize) -> Result<String, String> {
     let path = Path::new(dir).join(file).to_string_lossy().into_owned();
     std::fs::write(&path, tracelog::write_trace(trace)).map_err(|e| format!("{path}: {e}"))?;
-    write_seal_with(&path, jobs, None)?;
+    write_seal(&path, jobs)?;
     Ok(path)
 }
 
@@ -1137,18 +1012,15 @@ fn check_seal(path: &str, fresh: impl FnOnce() -> Result<String, String>) -> Res
 pub fn run(command: Command) -> Result<String, String> {
     match command {
         Command::Help => Ok(USAGE.to_owned()),
-        Command::MetaInfo { path, batch } => {
+        Command::MetaInfo { path } => {
             // Pure statistics, computed in one streaming (batched) pass.
-            let batch_events = batch.unwrap_or(DEFAULT_BATCH_EVENTS);
             let mut source = open_source(&path)?;
-            let info = MetaInfo::collect_batched(&mut source, batch_events)
-                .map_err(|e| source_err(&path, &source, &e))?;
+            let info =
+                MetaInfo::collect(&mut source).map_err(|e| source_err(&path, &source, &e))?;
             Ok(info.to_string())
         }
-        Command::Aerodrome { path, algorithm, validate, batch } => {
-            let mut pipeline = Pipeline::new(open_source(&path)?)
-                .validate(validate)
-                .batch_events(batch.unwrap_or(DEFAULT_BATCH_EVENTS));
+        Command::Aerodrome { path, algorithm, validate } => {
+            let mut pipeline = Pipeline::new(open_source(&path)?).validate(validate);
             let (name, mut checker): (_, SendChecker) = match algorithm {
                 Algorithm::Basic => ("aerodrome (Algorithm 1)", Box::new(BasicChecker::new())),
                 Algorithm::ReadOpt => ("aerodrome (Algorithm 2)", Box::new(ReadOptChecker::new())),
@@ -1179,10 +1051,8 @@ pub fn run(command: Command) -> Result<String, String> {
             );
             Ok(out)
         }
-        Command::Velodrome { path, config, validate, batch } => {
-            let mut pipeline = Pipeline::new(open_source(&path)?)
-                .validate(validate)
-                .batch_events(batch.unwrap_or(DEFAULT_BATCH_EVENTS));
+        Command::Velodrome { path, config, validate } => {
+            let mut pipeline = Pipeline::new(open_source(&path)?).validate(validate);
             let mut c = VelodromeChecker::with_config(config);
             let report =
                 pipeline.run(&mut c).map_err(|e| source_err(&path, pipeline.source(), &e))?;
@@ -1204,11 +1074,8 @@ pub fn run(command: Command) -> Result<String, String> {
             }
             Ok(out)
         }
-        Command::Compare { path, jobs, batch, validate } => {
-            let mut config = ParConfig::default().jobs(jobs).validate(validate);
-            if let Some(b) = batch {
-                config = config.batch_events(b);
-            }
+        Command::Compare { path, jobs, validate } => {
+            let config = ParConfig::default().jobs(jobs).validate(validate);
             let mut source = open_source(&path)?;
             let start = Instant::now();
             let report = par::check_all(&mut source, par::standard_checkers(), &config)
@@ -1273,12 +1140,9 @@ pub fn run(command: Command) -> Result<String, String> {
             }
             Ok(out)
         }
-        Command::Batch { path, jobs, batch, checker, seal_verify, validate } => {
+        Command::Batch { path, jobs, checker, seal_verify, validate } => {
             let paths = multi::discover(Path::new(&path))?;
-            let mut config = ParConfig::default().jobs(jobs).validate(validate);
-            if let Some(b) = batch {
-                config = config.batch_events(b);
-            }
+            let config = ParConfig::default().jobs(jobs).validate(validate);
             let report = multi::check_corpus(&paths, || checker.panel(), &config);
 
             // Sidecar verification reuses the verdicts the resident run
@@ -1289,7 +1153,13 @@ pub fn run(command: Command) -> Result<String, String> {
                 .map(|t| {
                     (seal_verify && t.error.is_none()).then(|| {
                         check_seal(&t.path.to_string_lossy(), || {
-                            Ok(seal_text(t.events, t.threads, t.locks, t.vars, &t.runs))
+                            Ok(pipeline::seal_text(
+                                t.events,
+                                t.threads,
+                                t.locks,
+                                t.vars,
+                                verdicts(&t.runs),
+                            ))
                         })
                     })
                 })
@@ -1372,11 +1242,10 @@ pub fn run(command: Command) -> Result<String, String> {
                 Ok(out)
             }
         }
-        Command::Validate { path, batch } => {
-            let batch_events = batch.unwrap_or(DEFAULT_BATCH_EVENTS);
+        Command::Validate { path } => {
             let mut source = open_source(&path)?;
             let mut validator = Validator::new();
-            let mut arena = EventBatch::with_target(batch_events);
+            let mut arena = EventBatch::new();
             'ingest: loop {
                 let refill = source.next_batch(&mut arena);
                 for &event in arena.events() {
@@ -1413,17 +1282,7 @@ pub fn run(command: Command) -> Result<String, String> {
             }
             Ok(out)
         }
-        Command::Generate {
-            path,
-            cfg,
-            profile,
-            overrides,
-            seal,
-            jobs,
-            corpus,
-            batch,
-            out_format,
-        } => {
+        Command::Generate { path, cfg, profile, overrides, seal, jobs, corpus, out_format } => {
             if let Some(traces) = corpus {
                 // A whole corpus: N varied traces plus a manifest, the
                 // input `rapid batch` expects. Defaults come from the
@@ -1447,7 +1306,7 @@ pub fn run(command: Command) -> Result<String, String> {
                 if seal {
                     for p in &paths {
                         let p = p.to_string_lossy();
-                        write_seal_with(&p, jobs, batch)?;
+                        write_seal(&p, jobs)?;
                     }
                     let _ = writeln!(msg, "sealed {} .expect sidecar(s)", paths.len());
                 }
@@ -1479,19 +1338,18 @@ pub fn run(command: Command) -> Result<String, String> {
                         }
                         shape
                     }
-                    None => workloads::table1()
-                        .into_iter()
-                        .chain(workloads::table2())
-                        .find(|p| p.name == name)
+                    None => {
+                        let profile = workloads::table1()
+                            .into_iter()
+                            .chain(workloads::table2())
+                            .find(|p| p.name == name)
+                            .ok_or_else(|| format!("unknown profile `{name}`"))?;
                         // Explicit flags win over the profile's config,
                         // same as for the shapes above.
-                        .map(|p| {
-                            Box::new(workloads::GenSource::new(&overrides.apply(p.cfg)))
-                                as Box<dyn EventSource>
-                        })
-                        .ok_or_else(|| format!("unknown profile `{name}`"))?,
+                        gen_source(&overrides.apply(profile.cfg))?
+                    }
                 },
-                None => Box::new(workloads::GenSource::new(&cfg)),
+                None => gen_source(&cfg)?,
             };
             let file = File::create(&path).map_err(|e| format!("{path}: {e}"))?;
             let mut out = BufWriter::new(file);
@@ -1516,7 +1374,7 @@ pub fn run(command: Command) -> Result<String, String> {
                 // Reference verdicts come from re-reading the written
                 // log (not the generator), so the sidecar certifies the
                 // bytes on disk.
-                let text = write_seal_with(&path, jobs, batch)?;
+                let text = write_seal(&path, jobs)?;
                 let verdicts = text
                     .lines()
                     .filter(|l| l.contains(": violation@") || l.ends_with(": serializable"))
@@ -1557,10 +1415,8 @@ pub fn run(command: Command) -> Result<String, String> {
                 names.vars.len()
             ))
         }
-        Command::Causal { path, validate, batch } => {
-            let mut pipeline = Pipeline::new(open_source(&path)?)
-                .validate(validate)
-                .batch_events(batch.unwrap_or(DEFAULT_BATCH_EVENTS));
+        Command::Causal { path, validate } => {
+            let mut pipeline = Pipeline::new(open_source(&path)?).validate(validate);
             let Some((trace, _summary)) = pipeline
                 .collect(CAUSAL_EVENT_LIMIT)
                 .map_err(|e| source_err(&path, pipeline.source(), &e))?
@@ -1834,7 +1690,7 @@ mod tests {
     fn parses_metainfo() {
         assert_eq!(
             parse_args(&args(&["metainfo", "t.std"])).unwrap(),
-            Command::MetaInfo { path: "t.std".into(), batch: None }
+            Command::MetaInfo { path: "t.std".into() }
         );
         assert!(parse_args(&args(&["metainfo"])).is_err());
     }
@@ -1848,7 +1704,6 @@ mod tests {
                 path: "t.std".into(),
                 algorithm: Algorithm::Basic,
                 validate: true,
-                batch: None,
             }
         );
         assert!(parse_args(&args(&["aerodrome", "t.std", "--algorithm", "bogus"])).is_err());
@@ -1859,7 +1714,6 @@ mod tests {
                 path: "t.std".into(),
                 algorithm: Algorithm::Optimized,
                 validate: true,
-                batch: None,
             }
         );
         // `check` is an alias, and `--no-validate` opts out of the
@@ -1871,7 +1725,6 @@ mod tests {
                 path: "t.std".into(),
                 algorithm: Algorithm::Optimized,
                 validate: false,
-                batch: None,
             }
         );
     }
@@ -1880,7 +1733,7 @@ mod tests {
     fn parses_validate_subcommand() {
         assert_eq!(
             parse_args(&args(&["validate", "t.std"])).unwrap(),
-            Command::Validate { path: "t.std".into(), batch: None }
+            Command::Validate { path: "t.std".into() }
         );
         assert!(parse_args(&args(&["validate"])).is_err());
     }
@@ -1986,9 +1839,71 @@ mod tests {
             &["twophase", "t.std"],
             &["velodrome", "t.std", "--pearce-kelly"],
             &["twophase", "t.std", "--phase-batch", "64"],
+            // `--batch` is gone from every subcommand but loadgen.
+            &["metainfo", "t.std", "--batch", "512"],
+            &["aerodrome", "t.std", "--batch", "512"],
+            &["check", "t.std", "--batch", "512"],
+            &["velodrome", "t.std", "--batch", "512"],
+            &["compare", "t.std", "--batch", "512"],
+            &["batch", "dir", "--batch", "512"],
+            &["validate", "t.std", "--batch", "512"],
+            &["causal", "t.std", "--batch", "512"],
+            &["generate", "o.std", "--batch", "64"],
+            &["serve", "--batch", "512"],
         ] {
             let err = parse_args(&args(argv)).unwrap_err();
             assert!(err.0.starts_with("unknown"), "{argv:?}: {err}");
+        }
+    }
+
+    /// Every row's flags are exactly the `--flags` of its subcommand's
+    /// synopsis lines in [`USAGE`], taking a value exactly where the
+    /// synopsis shows one, so `rapid help` cannot drift from the parser.
+    #[test]
+    fn usage_synopsis_lists_exactly_each_rows_flags() {
+        let synopsis = USAGE.split("\n\n").nth(1).expect("the USAGE: block");
+        // (subcommand, (flag, takes a value)) per synopsis line.
+        let mut entries: Vec<(&str, Vec<(&str, bool)>)> = Vec::new();
+        for line in synopsis.lines().skip(1).map(str::trim) {
+            if let Some(rest) = line.strip_prefix("rapid ") {
+                entries.push((rest.split_whitespace().next().unwrap(), Vec::new()));
+            }
+            let flags = &mut entries.last_mut().expect("a synopsis starts with `rapid`").1;
+            for token in line.split_whitespace() {
+                let token = token.trim_start_matches('[');
+                if token.starts_with("--") {
+                    flags.push((token.trim_end_matches(']'), !token.ends_with(']')));
+                }
+            }
+        }
+        for (name, _) in &entries {
+            assert!(
+                *name == "help" || ROWS.iter().any(|row| row.names.contains(name)),
+                "`rapid {name}` has no parser row"
+            );
+        }
+        for row in ROWS {
+            let mut expected: Vec<(&str, bool)> =
+                row.flags.iter().map(|spec| (flag_name(spec), spec.contains(' '))).collect();
+            expected.sort_unstable();
+            assert!(
+                entries.iter().any(|(name, _)| *name == row.names[0]),
+                "`rapid {}` has no synopsis line",
+                row.names[0]
+            );
+            for name in row.names {
+                let mut listed: Vec<(&str, bool)> = entries
+                    .iter()
+                    .filter(|(n, _)| n == name)
+                    .flat_map(|(_, flags)| flags.iter().copied())
+                    .collect();
+                if listed.is_empty() {
+                    continue; // an alias without a line of its own
+                }
+                listed.sort_unstable();
+                listed.dedup();
+                assert_eq!(listed, expected, "`rapid {name}`: USAGE vs parser row");
+            }
         }
     }
 
@@ -2009,23 +1924,17 @@ mod tests {
             seal: false,
             jobs: 0,
             corpus: None,
-            batch: None,
             out_format: OutFormat::default(),
         })
         .unwrap();
         assert!(out.contains("wrote"));
 
-        let info = run(Command::MetaInfo { path: path.clone(), batch: None }).unwrap();
+        let info = run(Command::MetaInfo { path: path.clone() }).unwrap();
         assert!(info.contains("events:"));
 
         for algorithm in [Algorithm::Basic, Algorithm::ReadOpt, Algorithm::Optimized] {
-            let report = run(Command::Aerodrome {
-                path: path.clone(),
-                algorithm,
-                validate: true,
-                batch: None,
-            })
-            .unwrap();
+            let report =
+                run(Command::Aerodrome { path: path.clone(), algorithm, validate: true }).unwrap();
             assert!(report.contains('✗'), "expected violation: {report}");
             assert!(report.contains("clocks: joins="), "clock-core counters missing: {report}");
         }
@@ -2033,13 +1942,12 @@ mod tests {
             path: path.clone(),
             config: Config::default(),
             validate: true,
-            batch: None,
         })
         .unwrap();
         assert!(report.contains('✗'));
         assert!(report.contains("graph:"));
 
-        let report = run(Command::Validate { path: path.clone(), batch: None }).unwrap();
+        let report = run(Command::Validate { path: path.clone() }).unwrap();
         assert!(report.contains("well-formed"), "{report}");
     }
 
@@ -2056,7 +1964,6 @@ mod tests {
             seal: false,
             jobs: 0,
             corpus: None,
-            batch: None,
             out_format: OutFormat::default(),
         })
         .unwrap();
@@ -2069,7 +1976,6 @@ mod tests {
             seal: false,
             jobs: 0,
             corpus: None,
-            batch: None,
             out_format: OutFormat::default(),
         })
         .is_err());
@@ -2113,9 +2019,8 @@ mod twophase_causal_tests {
 
     #[test]
     fn parses_twophase_and_causal() {
-        let cmd =
-            parse_args(&["causal".into(), "t.std".into(), "--batch".into(), "512".into()]).unwrap();
-        assert_eq!(cmd, Command::Causal { path: "t.std".into(), validate: true, batch: Some(512) });
+        let cmd = parse_args(&["causal".into(), "t.std".into()]).unwrap();
+        assert_eq!(cmd, Command::Causal { path: "t.std".into(), validate: true });
         assert!(parse_args(&["causal".into()]).is_err());
     }
 
@@ -2123,12 +2028,12 @@ mod twophase_causal_tests {
     fn twophase_and_causal_run_end_to_end() {
         let path = tmp("tp.std");
         std::fs::write(&path, tracelog::write_trace(&tracelog::paper_traces::rho2())).unwrap();
-        let out = run(Command::Causal { path, validate: true, batch: None }).unwrap();
+        let out = run(Command::Causal { path, validate: true }).unwrap();
         assert!(out.contains("⋖-cycle"), "{out}");
 
         let path = tmp("tp_ok.std");
         std::fs::write(&path, tracelog::write_trace(&tracelog::paper_traces::rho1())).unwrap();
-        let out = run(Command::Causal { path, validate: true, batch: None }).unwrap();
+        let out = run(Command::Causal { path, validate: true }).unwrap();
         assert!(out.contains("causally atomic"));
     }
 
@@ -2140,7 +2045,7 @@ mod twophase_causal_tests {
             ..workloads::GenConfig::default()
         });
         std::fs::write(&path, tracelog::write_trace(&trace)).unwrap();
-        let err = run(Command::Causal { path, validate: true, batch: None }).unwrap_err();
+        let err = run(Command::Causal { path, validate: true }).unwrap_err();
         assert!(err.contains("limit of 20000 events"), "{err}");
     }
 
@@ -2154,12 +2059,11 @@ mod twophase_causal_tests {
             path: path.clone(),
             algorithm: Algorithm::Optimized,
             validate: true,
-            batch: None,
         })
         .unwrap_err();
         assert!(err.contains("not well-formed"), "{err}");
         assert!(err.contains("line 2"), "{err}");
-        assert!(run(Command::Validate { path: path.clone(), batch: None }).is_err());
+        assert!(run(Command::Validate { path: path.clone() }).is_err());
 
         // The opt-out analyses the trace anyway (verdict meaningless but
         // the paper's algorithms do not crash).
@@ -2167,7 +2071,6 @@ mod twophase_causal_tests {
             path: path.clone(),
             algorithm: Algorithm::Optimized,
             validate: false,
-            batch: None,
         })
         .unwrap();
         assert!(out.contains("analysis:"), "{out}");
@@ -2185,20 +2088,15 @@ mod twophase_causal_tests {
                 seal: false,
                 jobs: 0,
                 corpus: None,
-                batch: None,
                 out_format: OutFormat::default(),
             })
             .unwrap();
             assert!(out.contains("wrote"), "{out}");
-            let report = run(Command::Validate { path: path.clone(), batch: None }).unwrap();
+            let report = run(Command::Validate { path: path.clone() }).unwrap();
             assert!(report.contains("closed"), "{name}: {report}");
-            let report = run(Command::Aerodrome {
-                path,
-                algorithm: Algorithm::Optimized,
-                validate: true,
-                batch: None,
-            })
-            .unwrap();
+            let report =
+                run(Command::Aerodrome { path, algorithm: Algorithm::Optimized, validate: true })
+                    .unwrap();
             assert!(report.contains('✓'), "{name} shapes are serializable: {report}");
         }
     }
@@ -2294,7 +2192,6 @@ mod explore_fuzz_tests {
         let verify = run(Command::Batch {
             path: dir,
             jobs: 1,
-            batch: None,
             checker: CheckerChoice::All,
             seal_verify: true,
             validate: true,
@@ -2384,7 +2281,6 @@ mod binfmt_cli_tests {
             seal: false,
             jobs: 0,
             corpus: None,
-            batch: None,
             out_format: OutFormat::default(),
         })
         .unwrap();
@@ -2424,17 +2320,16 @@ mod binfmt_cli_tests {
         convert(&std_path, &rbt_path);
 
         // metainfo, validate, aerodrome, velodrome agree across encodings.
-        let info_std = run(Command::MetaInfo { path: std_path.clone(), batch: None }).unwrap();
-        let info_rbt = run(Command::MetaInfo { path: rbt_path.clone(), batch: None }).unwrap();
+        let info_std = run(Command::MetaInfo { path: std_path.clone() }).unwrap();
+        let info_rbt = run(Command::MetaInfo { path: rbt_path.clone() }).unwrap();
         assert_eq!(info_std, info_rbt, "metainfo must not depend on the encoding");
         for path in [&std_path, &rbt_path] {
-            let out = run(Command::Validate { path: path.clone(), batch: None }).unwrap();
+            let out = run(Command::Validate { path: path.clone() }).unwrap();
             assert!(out.contains("well-formed"), "{path}: {out}");
             let out = run(Command::Aerodrome {
                 path: path.clone(),
                 algorithm: Algorithm::Optimized,
                 validate: true,
-                batch: None,
             })
             .unwrap();
             assert!(out.contains('✗'), "{path}: {out}");
@@ -2450,9 +2345,8 @@ mod binfmt_cli_tests {
         let verdicts = |out: &str| -> Vec<String> {
             out.lines().filter(|l| l.contains('✗') || l.contains('✓')).map(str::to_owned).collect()
         };
-        let compare = |path: String| {
-            run(Command::Compare { path, jobs: 2, batch: Some(257), validate: true }).unwrap()
-        };
+        let compare =
+            |path: String| run(Command::Compare { path, jobs: 2, validate: true }).unwrap();
         let reference = compare(std_path);
         let out = compare(rbt_path);
         assert_eq!(verdicts(&out), verdicts(&reference), "{out}\nvs\n{reference}");
@@ -2475,7 +2369,6 @@ mod binfmt_cli_tests {
         let out = run(Command::Batch {
             path: dir,
             jobs: 2,
-            batch: None,
             checker: CheckerChoice::All,
             seal_verify: true,
             validate: true,
@@ -2501,7 +2394,6 @@ mod binfmt_cli_tests {
             seal: true,
             jobs: 1,
             corpus: None,
-            batch: None,
             out_format: OutFormat::Rbt,
         })
         .unwrap();
@@ -2530,7 +2422,6 @@ mod binfmt_cli_tests {
         let report = run(Command::Batch {
             path: dir,
             jobs: 2,
-            batch: None,
             checker: CheckerChoice::All,
             seal_verify: false,
             validate: true,
@@ -2554,7 +2445,7 @@ mod binfmt_cli_tests {
         let offset = tracelog::binfmt::HEADER_BYTES + 300 * 9;
         bytes[offset] = 0xEE;
         std::fs::write(&rbt_path, &bytes).unwrap();
-        let err = run(Command::MetaInfo { path: rbt_path, batch: None }).unwrap_err();
+        let err = run(Command::MetaInfo { path: rbt_path }).unwrap_err();
         assert!(err.contains("record 300 (chunk 1)"), "{err}");
     }
 }
@@ -2580,8 +2471,6 @@ mod serve_cli_tests {
                 "0.0.0.0:0",
                 "--jobs",
                 "4",
-                "--batch",
-                "512",
                 "--max-retained-bytes",
                 "1048576",
                 "--no-validate",
@@ -2591,7 +2480,6 @@ mod serve_cli_tests {
                 addr: "0.0.0.0:0".into(),
                 config: serve::ServeConfig {
                     jobs: 4,
-                    batch_events: 512,
                     validate: false,
                     max_retained_bytes: 1 << 20,
                 },
@@ -2646,7 +2534,7 @@ mod serve_cli_tests {
 
     /// `--jobs 0` and `--batch 0` are rejected with a clear message on
     /// EVERY subcommand that accepts the flag — one shared parser
-    /// helper, one behaviour.
+    /// getter, one behaviour.
     #[test]
     fn zero_jobs_and_zero_batch_are_rejected_everywhere() {
         let jobs_takers: &[&[&str]] = &[
@@ -2667,18 +2555,7 @@ mod serve_cli_tests {
             argv.extend(args(&["--jobs", "2"]));
             parse_args(&argv).unwrap_or_else(|e| panic!("{base:?} --jobs 2: {e}"));
         }
-        let batch_takers: &[&[&str]] = &[
-            &["metainfo", "t.std"],
-            &["aerodrome", "t.std"],
-            &["velodrome", "t.std"],
-            &["compare", "t.std"],
-            &["batch", "dir"],
-            &["validate", "t.std"],
-            &["generate", "o.std"],
-            &["causal", "t.std"],
-            &["serve"],
-            &["loadgen"],
-        ];
+        let batch_takers: &[&[&str]] = &[&["loadgen"]];
         for base in batch_takers {
             let mut argv = args(base);
             argv.extend(args(&["--batch", "0"]));

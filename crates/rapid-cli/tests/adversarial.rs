@@ -42,7 +42,6 @@ fn sealed_corpus_verifies_at_every_worker_count() {
         let out = run(Command::Batch {
             path: FIXTURES.into(),
             jobs,
-            batch: None,
             checker: CheckerChoice::All,
             seal_verify: true,
             validate: true,

@@ -25,8 +25,6 @@ fn parses_batch_command() {
         "corpus/",
         "--jobs",
         "3",
-        "--batch",
-        "512",
         "--checker",
         "velodrome",
         "--no-validate",
@@ -37,7 +35,6 @@ fn parses_batch_command() {
         Command::Batch {
             path: "corpus/".into(),
             jobs: 3,
-            batch: Some(512),
             checker: CheckerChoice::Velodrome,
             seal_verify: false,
             validate: false,
@@ -49,7 +46,6 @@ fn parses_batch_command() {
         Command::Batch {
             path: "corpus/".into(),
             jobs: 0,
-            batch: None,
             checker: CheckerChoice::All,
             seal_verify: true,
             validate: true,
@@ -60,20 +56,6 @@ fn parses_batch_command() {
     assert!(parse_args(&args(&["batch", "c/", "--batch", "0"])).is_err());
     // Seal sidecars record the full panel; a partial panel cannot verify.
     assert!(parse_args(&args(&["batch", "c/", "--seal-verify", "--checker", "basic"])).is_err());
-}
-
-#[test]
-fn uniform_batch_flag_is_shared_by_every_ingesting_subcommand() {
-    for cmd in
-        ["metainfo", "aerodrome", "check", "velodrome", "compare", "validate", "causal", "batch"]
-    {
-        let parsed = parse_args(&args(&[cmd, "t.std", "--batch", "123"]));
-        assert!(parsed.is_ok(), "{cmd}: {parsed:?}");
-        let rejected = parse_args(&args(&[cmd, "t.std", "--batch", "0"]));
-        assert!(rejected.is_err(), "{cmd} must reject a zero batch");
-    }
-    // generate takes it too (for the --seal re-read pass).
-    assert!(parse_args(&args(&["generate", "o.std", "--batch", "64"])).is_ok());
 }
 
 #[test]

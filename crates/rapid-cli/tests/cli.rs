@@ -137,12 +137,38 @@ fn compare_runs_every_checker_in_one_pass() {
     let clean = tmpfile("cmp_clean.std");
     let clean_s = clean.to_str().unwrap();
     run_ok(&["generate", clean_s, "--profile", "convoy", "--events", "3000"]);
-    let text = run_ok(&["compare", clean_s, "--jobs", "4", "--batch", "512"]);
+    let text = run_ok(&["compare", clean_s, "--jobs", "4"]);
     assert!(text.contains("consensus: ✓"), "{text}");
 
     // Bad flags fail with usage.
     let out = rapid().args(["compare", path_s, "--batch", "0"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// A `--violation-at` the generator cannot honour is refused before
+/// anything is written: a fraction outside `[0, 1)` (or not a number) is
+/// a usage error, and a config without two worker threads besides main
+/// names `--threads`. Each of these used to exit 0 with a serializable
+/// trace.
+#[test]
+fn generate_refuses_a_violation_it_cannot_inject() {
+    let path = tmpfile("no-injection.std");
+    let path_s = path.to_str().unwrap();
+    let range = "--violation-at must be a fraction in [0, 1)";
+    for (flags, code, message) in [
+        (&["--events", "2000", "--violation-at", "1.0"][..], 2, range),
+        (&["--events", "2000", "--violation-at", "2.0"], 2, range),
+        (&["--violation-at", "NaN"], 2, range),
+        (&["--violation-at", "-1"], 2, range),
+        (&["--threads", "2", "--violation-at", "0.5"], 1, "--threads 3 or more"),
+    ] {
+        let _ = std::fs::remove_file(&path);
+        let out = rapid().args(["generate", path_s]).args(flags).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{flags:?}: {stderr}");
+        assert!(stderr.contains(message), "{flags:?}: {stderr}");
+        assert!(!path.exists(), "{flags:?} wrote a trace");
+    }
 }
 
 #[test]

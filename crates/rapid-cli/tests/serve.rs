@@ -4,8 +4,9 @@
 //! The tentpole invariant: a trace streamed over the socket produces
 //! verdicts **bit-identical** to `rapid check`/`rapid compare` on the
 //! same `.std` file — the wire summary's canonical seal text equals the
-//! offline [`rapid_cli::compute_seal_with`] text, for every paper trace
-//! and workload shape, across `--jobs 1/2/4` and differing batch sizes.
+//! offline [`rapid_cli::compute_seal`] text, for every paper trace and
+//! workload shape, across `--jobs 1/2/4` and differing client frame
+//! sizes.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -65,7 +66,7 @@ fn socket_verdicts_are_bit_identical_to_offline_seals() {
                 let path_s = path.to_str().unwrap();
                 // Offline reference: the exact text `rapid generate
                 // --seal` would persist for this file.
-                let offline = rapid_cli::compute_seal_with(path_s, jobs, Some(batch)).unwrap();
+                let offline = rapid_cli::compute_seal(path_s, jobs).unwrap();
                 let mut source = rapid_cli::open_source(path_s).unwrap();
                 let result = client.check_source(&mut source, batch).unwrap();
                 assert_eq!(

@@ -252,7 +252,7 @@ pub struct SummaryRun {
 
 /// End-of-trace summary: the service-side equivalent of a sealed
 /// reference verdict, carrying exactly the ingredients of
-/// `rapid-cli`'s `seal_text`.
+/// [`aerodrome_suite::pipeline::seal_text`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SummaryFrame {
     /// Events checked.
@@ -269,29 +269,17 @@ pub struct SummaryFrame {
 
 impl SummaryFrame {
     /// Renders the summary in the canonical sealed-reference text
-    /// format (`# rapid seal v1` …) — byte-identical to `rapid-cli`'s
-    /// `seal_text` over the same run, which is what the differential
-    /// tests diff against offline `rapid check`.
+    /// format ([`aerodrome_suite::pipeline::seal_text`]), which is what
+    /// the differential tests diff against offline `rapid check`.
     #[must_use]
     pub fn seal_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "# rapid seal v1");
-        let _ = writeln!(out, "events: {}", self.events);
-        let _ = writeln!(out, "threads: {}", self.threads);
-        let _ = writeln!(out, "locks: {}", self.locks);
-        let _ = writeln!(out, "vars: {}", self.vars);
-        for run in &self.runs {
-            match run.violation {
-                None => {
-                    let _ = writeln!(out, "{}: serializable", run.name);
-                }
-                Some(e) => {
-                    let _ = writeln!(out, "{}: violation@{e}", run.name);
-                }
-            }
-        }
-        out
+        aerodrome_suite::pipeline::seal_text(
+            self.events,
+            self.threads as usize,
+            self.locks as usize,
+            self.vars as usize,
+            self.runs.iter().map(|run| (run.name.as_str(), run.violation)),
+        )
     }
 }
 

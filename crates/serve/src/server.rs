@@ -37,7 +37,6 @@ use std::thread;
 use std::time::Duration;
 
 use aerodrome_suite::pipeline::par::standard_checkers;
-use tracelog::stream::DEFAULT_BATCH_EVENTS;
 
 use crate::protocol::{encode_stats, put_frame, FrameBuf, Kind, StatsFrame};
 use crate::session::{FrameOutcome, Session};
@@ -59,8 +58,6 @@ const IDLE_SLEEP: Duration = Duration::from_micros(300);
 pub struct ServeConfig {
     /// Worker threads; `0` (default) means one per available CPU.
     pub jobs: usize,
-    /// Events per session [`tracelog::stream::EventBatch`] arena.
-    pub batch_events: usize,
     /// Run the online well-formedness validator (default `true`).
     pub validate: bool,
     /// Global retained-clock budget in bytes
@@ -70,12 +67,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            jobs: 0,
-            batch_events: DEFAULT_BATCH_EVENTS,
-            validate: true,
-            max_retained_bytes: DEFAULT_MAX_RETAINED_BYTES,
-        }
+        Self { jobs: 0, validate: true, max_retained_bytes: DEFAULT_MAX_RETAINED_BYTES }
     }
 }
 
@@ -418,7 +410,7 @@ fn admit(index: usize, stream: TcpStream, shared: &Shared, config: &ServeConfig)
     }
     Some(Conn {
         stream,
-        session: Session::new(standard_checkers(), config.validate, config.batch_events),
+        session: Session::new(standard_checkers(), config.validate),
         frames: FrameBuf::new(),
         outbuf: Vec::new(),
         out_pos: 0,

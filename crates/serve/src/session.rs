@@ -89,10 +89,10 @@ impl std::fmt::Debug for Session {
 impl Session {
     /// Creates a session owning `checkers` as its panel.
     #[must_use]
-    pub fn new(checkers: Vec<SendChecker>, validate: bool, batch_events: usize) -> Self {
+    pub fn new(checkers: Vec<SendChecker>, validate: bool) -> Self {
         Self {
             panel: Panel::new(checkers, validate),
-            batch: EventBatch::with_target(batch_events),
+            batch: EventBatch::new(),
             threads: Interner::new(),
             locks: Interner::new(),
             vars: Interner::new(),
@@ -272,9 +272,9 @@ impl Session {
         FrameOutcome::TraceDone
     }
 
-    /// The end-of-trace summary — the same ingredients `rapid-cli`'s
-    /// `seal_text` renders, plus the per-trace clock-allocation counter
-    /// for the warm zero-alloc probe.
+    /// The end-of-trace summary — the same ingredients
+    /// [`aerodrome_suite::pipeline::seal_text`] renders, plus the
+    /// per-trace clock-allocation counter for the warm zero-alloc probe.
     fn summary(&self) -> SummaryFrame {
         let runs = self
             .panel
@@ -359,7 +359,7 @@ mod tests {
 
     #[test]
     fn handshake_then_trace_then_summary() {
-        let mut session = Session::new(standard_checkers(), true, 512);
+        let mut session = Session::new(standard_checkers(), true);
         let out = hello(&mut session);
         assert_eq!(frames_of(&out)[0].0, Kind::Welcome);
 
@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn second_trace_on_a_warm_session_allocates_no_clocks() {
-        let mut session = Session::new(standard_checkers(), true, 512);
+        let mut session = Session::new(standard_checkers(), true);
         hello(&mut session);
         let trace = tracelog::paper_traces::rho1();
         for round in 0..3 {
@@ -420,7 +420,7 @@ mod tests {
 
     #[test]
     fn ill_formed_event_poisons_with_attribution() {
-        let mut session = Session::new(standard_checkers(), true, 512);
+        let mut session = Session::new(standard_checkers(), true);
         hello(&mut session);
         // rel(m) with no acquire: event 0 is ill-formed.
         let mut names = Vec::new();
@@ -450,7 +450,7 @@ mod tests {
 
     #[test]
     fn unbound_event_id_is_a_protocol_error() {
-        let mut session = Session::new(standard_checkers(), true, 512);
+        let mut session = Session::new(standard_checkers(), true);
         hello(&mut session);
         let mut names = Vec::new();
         wire::encode_name(NameKind::Thread, 0, "t1", &mut names);
@@ -477,7 +477,7 @@ mod tests {
 
     #[test]
     fn frames_before_hello_are_rejected() {
-        let mut session = Session::new(standard_checkers(), true, 512);
+        let mut session = Session::new(standard_checkers(), true);
         let mut out = Vec::new();
         let outcome = session.handle_frame(Kind::Events, &[], &mut out);
         assert_eq!(outcome, FrameOutcome::Poisoned);
@@ -487,7 +487,7 @@ mod tests {
 
     #[test]
     fn idle_eviction_readmits_fresh() {
-        let mut session = Session::new(standard_checkers(), true, 512);
+        let mut session = Session::new(standard_checkers(), true);
         hello(&mut session);
         let trace = tracelog::paper_traces::rho3();
         let (names, events) = trace_payloads(&trace);
@@ -521,7 +521,7 @@ mod tests {
 
     #[test]
     fn mid_trace_eviction_sends_the_documented_error() {
-        let mut session = Session::new(standard_checkers(), true, 512);
+        let mut session = Session::new(standard_checkers(), true);
         hello(&mut session);
         let trace = tracelog::paper_traces::rho1();
         let (names, events) = trace_payloads(&trace);

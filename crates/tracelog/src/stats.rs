@@ -92,27 +92,15 @@ impl MetaInfo {
     /// well-formed traces equals the segmentation-based count of
     /// [`MetaInfo::of`] (property-tested in `tests/proptests.rs`).
     ///
+    /// Events preceding a source failure are folded in before the error
+    /// surfaces, exactly as per-event iteration would.
+    ///
     /// # Errors
     ///
     /// Propagates the first error of the source.
     pub fn collect<S: EventSource + ?Sized>(source: &mut S) -> Result<Self, SourceError> {
-        Self::collect_batched(source, crate::stream::DEFAULT_BATCH_EVENTS)
-    }
-
-    /// [`MetaInfo::collect`] with an explicit ingest batch size (the
-    /// `rapid --batch` knob). Events preceding a source failure are
-    /// folded in before the error surfaces, exactly as per-event
-    /// iteration would.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error of the source.
-    pub fn collect_batched<S: EventSource + ?Sized>(
-        source: &mut S,
-        batch_events: usize,
-    ) -> Result<Self, SourceError> {
         let mut collector = MetaCollector::default();
-        let mut batch = crate::stream::EventBatch::with_target(batch_events);
+        let mut batch = crate::stream::EventBatch::new();
         loop {
             let refill = source.next_batch(&mut batch);
             for &event in batch.events() {

@@ -89,7 +89,8 @@ pub struct GenConfig {
     /// Retained transaction reads the probe variable every this many of
     /// its scheduler steps.
     pub probe_period: usize,
-    /// Inject a ρ2-shaped violation at this fraction of the trace.
+    /// Inject a ρ2-shaped violation at this fraction of the trace (a
+    /// fraction in `[0, 1)`; needs [`GenConfig::can_inject`]).
     pub violation_at: Option<f64>,
 }
 
@@ -109,6 +110,34 @@ impl Default for GenConfig {
             probe_period: 200,
             violation_at: None,
         }
+    }
+}
+
+impl GenConfig {
+    /// Whether [`GenConfig::violation_at`] can take effect: the ρ2
+    /// injection needs two distinct workers besides the main thread, so
+    /// with fewer than 3 threads the trace stays serializable.
+    #[must_use]
+    pub fn can_inject(&self) -> bool {
+        injection_pair(self.threads.saturating_sub(1), self.retention_active()).is_some()
+    }
+
+    /// Whether the retention pattern runs: it needs ≥ 3 workers.
+    fn retention_active(&self) -> bool {
+        self.retention && self.threads.saturating_sub(1) >= 3
+    }
+}
+
+/// The two workers that execute the injected ρ2 pattern, by worker
+/// index. Under retention workers 0 and 1 are the subscriber and the
+/// report-writer and the rest are normal; the first and last normal
+/// workers pair up, and a lone normal worker pairs with the
+/// report-writer.
+fn injection_pair(workers: usize, retention: bool) -> Option<(usize, usize)> {
+    if retention {
+        Some((2, if workers == 3 { 1 } else { workers - 1 }))
+    } else {
+        (workers >= 2).then(|| (0, workers - 1))
     }
 }
 
@@ -329,7 +358,7 @@ impl GenSource {
             Layout { hot, hot2, reports, inj_a, inj_b, shared }
         };
 
-        let retention = cfg.retention && worker_count >= 3;
+        let retention = cfg.retention_active();
         let locals_per_worker = if worker_count > 0 {
             (cfg.vars.saturating_sub(4 + layout.shared.len()) / worker_count.max(1)).max(1)
         } else {
@@ -374,25 +403,9 @@ impl GenSource {
                 buf.fork(main, w.id);
             }
 
-            // Injection bookkeeping: pick two Normal workers.
             let inj_threshold =
                 cfg.violation_at.map(|p| ((cfg.events as f64) * p.clamp(0.0, 1.0)) as usize);
-            let normals: Vec<usize> = workers
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| w.role == Role::Normal)
-                .map(|(i, _)| i)
-                .collect();
-            let inj_pair = match normals.as_slice() {
-                [] => None,
-                [only] => (workers.len() >= 2).then(|| {
-                    // Pair the lone normal worker with the report-writer.
-                    let other =
-                        workers.iter().position(|w| w.role == Role::ReportWriter).unwrap_or(0);
-                    (*only, other)
-                }),
-                [a, .., b] => Some((*a, *b)),
-            };
+            let inj_pair = injection_pair(worker_count, retention);
 
             // The retained transactions must publish `hot`/`hot2` before
             // any worker can read them: a read *before* the write is a
@@ -789,6 +802,23 @@ mod tests {
             GenConfig { threads: 2, events: 500, violation_at: Some(0.2), ..GenConfig::default() };
         let trace = generate(&cfg);
         assert!(validate(&trace).unwrap().is_closed());
+    }
+
+    #[test]
+    fn can_inject_says_whether_the_generator_injects() {
+        for threads in 1..=6 {
+            for retention in [false, true] {
+                let cfg = GenConfig {
+                    threads,
+                    retention,
+                    events: 1_000,
+                    violation_at: Some(0.5),
+                    ..GenConfig::default()
+                };
+                let injected = tracelog::write_trace(&generate(&cfg)).contains("w(inj_a)");
+                assert_eq!(cfg.can_inject(), injected, "threads {threads}, retention {retention}");
+            }
+        }
     }
 
     #[test]

@@ -106,6 +106,33 @@ pub fn refill<S: EventSource + ?Sized>(
     Ok(refilled? > 0)
 }
 
+/// Renders the canonical sealed-reference text (`# rapid seal v1`): the
+/// event and name-table counts, then one `<checker>: serializable` or
+/// `<checker>: violation@<event index>` line per verdict, in panel
+/// order. `rapid generate --seal` sidecars, `rapid batch --seal-verify`
+/// and the service's end-of-trace summary all render through here, so
+/// offline and socket verdicts compare byte for byte.
+#[must_use]
+pub fn seal_text<'a>(
+    events: u64,
+    threads: usize,
+    locks: usize,
+    vars: usize,
+    verdicts: impl IntoIterator<Item = (&'a str, Option<u64>)>,
+) -> String {
+    use std::fmt::Write as _;
+    let mut out = format!(
+        "# rapid seal v1\nevents: {events}\nthreads: {threads}\nlocks: {locks}\nvars: {vars}\n"
+    );
+    for (name, violation) in verdicts {
+        let _ = match violation {
+            None => writeln!(out, "{name}: serializable"),
+            Some(event) => writeln!(out, "{name}: violation@{event}"),
+        };
+    }
+    out
+}
+
 /// A checker panel: the checkers, one verdict slot per checker and the
 /// optional online validator — the resident state a [`par`] worker, a
 /// [`multi`] session and a service connection each own outright, feed
